@@ -35,7 +35,7 @@ def random_search(
         tracker = random_tracker(config, rng, ids, gen=0)
         match = longest_match(tracker.values, antigen, config.bind_threshold)
         if match.is_trend_match:
-            memory.consider(tracker.values, match, gen=0, antigen_label=antigen.label)
+            memory.consider(tracker.values, match, gen=0)
     return RandomSearchResult(
         population_size=population_size,
         detected=memory.detected_trends(),

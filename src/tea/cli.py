@@ -62,7 +62,10 @@ def read_prices(path) -> list[PricePoint]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"timestamp", "close"} - set(reader.fieldnames):
             raise SystemExit("error: price CSV needs a 'timestamp,close' header")
-        return [PricePoint(float(r["timestamp"]), float(r["close"])) for r in reader]
+        try:
+            return [PricePoint(float(r["timestamp"]), float(r["close"])) for r in reader]
+        except (TypeError, ValueError) as exc:  # a short row's missing field is None
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def _write_csv(path: Path, rows: list[dict]):
@@ -222,7 +225,11 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -13,38 +13,23 @@ from .population import ConfigError, PoolConfig
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
+# each field parses as the type of its default; PoolConfig fills gaussian_std's None in
+_KINDS = {name: type(value) for name, value in dataclasses.asdict(PoolConfig()).items()}
+
 
 def _parse_value(raw: str, kind):
-    raw = raw.strip()
     if kind is bool:
         low = raw.lower()
         if low in _TRUE:
             return True
         if low in _FALSE:
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    return float(raw)
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return kind(raw)
 
 
 def parse_overrides(text: str) -> dict:
     """Parse config text into a PoolConfig kwargs dict."""
-    kinds = {
-        "init_size": int,
-        "init_len_min": int,
-        "init_len_max": int,
-        "gaussian_mean": float,
-        "gaussian_std": float,
-        "band_width": float,
-        "clone_factor": int,
-        "mutation_extend_prob": float,
-        "apoptosis_rate": float,
-        "min_pool": int,
-        "clone_lifespan": int,
-        "bind_threshold": float,
-        "shortening_enabled": bool,
-    }
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -54,9 +39,12 @@ def parse_overrides(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in kinds:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(raw, kinds[key])
+        try:
+            overrides[key] = _parse_value(raw.strip(), _KINDS[key])
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return overrides
 
 

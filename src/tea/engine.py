@@ -17,6 +17,7 @@ triple is fully reproducible.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .encoding import Antigen, CategorySeq
@@ -61,7 +62,6 @@ class PresentationPhase:
     start_gen: int
     end_gen: int
     antigen: Antigen
-    incremental: bool = True
     pool_action_at_start: str = POOL_ACTION_NONE
 
     def __post_init__(self):
@@ -69,22 +69,19 @@ class PresentationPhase:
             raise SpecError(f"phase window inverted: {self.start_gen}..{self.end_gen}")
         if self.pool_action_at_start not in _POOL_ACTIONS:
             raise SpecError(f"unknown pool action {self.pool_action_at_start!r}")
-        if self.incremental:
-            window = self.end_gen - self.start_gen + 1
-            if window < len(self.antigen):
-                raise SpecError(
-                    f"incremental window of {window} generations is shorter "
-                    f"than antigen {self.antigen.label or '?'} ({len(self.antigen)})"
-                )
-            # normalise to exactly the antigen length; later generations
-            # of an over-wide window would just re-present the full
-            # antigen, so they are treated as quiescent instead
-            self.end_gen = self.start_gen + len(self.antigen) - 1
+        window = self.end_gen - self.start_gen + 1
+        if window < len(self.antigen):
+            raise SpecError(
+                f"incremental window of {window} generations is shorter "
+                f"than antigen {self.antigen.label or '?'} ({len(self.antigen)})"
+            )
+        # normalise to exactly the antigen length; later generations
+        # of an over-wide window would just re-present the full
+        # antigen, so they are treated as quiescent instead
+        self.end_gen = self.start_gen + len(self.antigen) - 1
 
     def presented(self, gen: int) -> Antigen:
-        """Antigen visible at generation gen (a prefix when incremental)."""
-        if not self.incremental:
-            return self.antigen
+        """Antigen visible at generation gen: its prefix of one value per generation."""
         return self.antigen.prefix(gen - self.start_gen + 1)
 
 
@@ -143,12 +140,12 @@ class RunStats:
 
 
 def _matching_counts(pool: list[Tracker], truth) -> dict[CategorySeq, int]:
-    counts = {}
-    for trend in sorted(truth, key=lambda t: (len(t), t)):
-        counts[trend] = sum(
-            1 for t in pool if len(t.values) >= len(trend) and count_occurrences(trend, t.values)
-        )
-    return counts
+    """Trackers containing each trend, counting each distinct value tuple once."""
+    carriers = Counter(t.values for t in pool)
+    return {
+        trend: sum(n for values, n in carriers.items() if count_occurrences(trend, values))
+        for trend in sorted(truth, key=lambda t: (len(t), t))
+    }
 
 
 def run_generation(
@@ -172,7 +169,7 @@ def run_generation(
             record_improvement(tracker, match, gen)
             for _ in range(clone_count(match, config)):
                 clones.append(mutate(tracker, config, rng, gen, ids, match.tracker_span))
-            action = memory.consider(tracker.values, match, gen, presented.label)
+            action = memory.consider(tracker.values, match, gen)
             if action != "rejected":
                 stats.memory_events.append(
                     MemoryEvent(gen, action, match.ms, match.redundancy, presented.seq)
@@ -180,7 +177,7 @@ def run_generation(
         pool = pool + clones
     pool = apoptose(pool, config, rng)
     pool = cull_stale_clones(pool, config, gen)
-    pool = homeostasis(pool, config, rng, ids)
+    pool = homeostasis(pool, config, rng, ids, gen)
     stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, truth)))
     return pool
 

@@ -7,15 +7,18 @@ match sequence MS; its occurrence count in the antigen is the
 stimulation factor SF and its length the match length ML.  Tracker
 values outside the MS are redundancy.
 
-The oracle enumerates every trend of an antigen by brute force: all
-contiguous windows of length >= 2 that occur at least twice
-(overlapping occurrences count).  Antigens here are tens of values, so
-the O(n^2) scan is plenty.
+The oracle lists every trend of an antigen: each contiguous window of
+length >= 2 that occurs at least twice (overlapping occurrences count).
+It counts windows one length at a time.  A window can repeat only where
+its one-shorter prefix repeats, so each length looks only at the starts
+the previous length kept, and the count stops at the first length with
+no repeat.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .encoding import Antigen, CategorySeq
@@ -78,7 +81,7 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     # run[j] = length of the aligned run ending at (i, j)
     n, m = len(tvals), len(avals)
     best_len = 0
-    candidates = []  # (tracker_start, antigen_start, length)
+    candidates = []  # (tracker_start, antigen_start) of every run of best_len
     prev = [0] * m
     for i in range(n):
         cur = [0] * m
@@ -88,9 +91,9 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
                 cur[j] = (prev[j - 1] if j else 0) + 1
                 if cur[j] > best_len:
                     best_len = cur[j]
-                    candidates = [(i - cur[j] + 1, j - cur[j] + 1, cur[j])]
+                    candidates = [(i - best_len + 1, j - best_len + 1)]
                 elif cur[j] == best_len:
-                    candidates.append((i - cur[j] + 1, j - cur[j] + 1, cur[j]))
+                    candidates.append((i - best_len + 1, j - best_len + 1))
         prev = cur
 
     if best_len == 0:
@@ -98,21 +101,19 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
             ms=(), sf=0, ml=0, redundancy=len(tvals), affinity=math.inf, tracker_start=0
         )
 
-    def rank(cand):
-        ts, as_, length = cand
-        ms = avals[as_ : as_ + length]
-        return (-count_occurrences(ms, avals), ts, as_)
-
-    ts, as_, length = min(candidates, key=rank)
+    # one table of the antigen's windows of length best_len ranks every
+    # tied candidate and gives the winner's SF
+    counts = Counter(avals[j : j + best_len] for j in range(m - best_len + 1))
+    ts, as_ = min(candidates, key=lambda c: (-counts[avals[c[1] : c[1] + best_len]], *c))
     # the antigen-side window is the MS; identical to the tracker side
     # under exact binding, the observed pattern under a loose threshold
-    ms = avals[as_ : as_ + length]
-    affinity = max(abs(tvals[ts + k] - ms[k]) for k in range(length))
+    ms = avals[as_ : as_ + best_len]
+    affinity = max(abs(tvals[ts + k] - ms[k]) for k in range(best_len))
     return MatchResult(
         ms=ms,
-        sf=count_occurrences(ms, avals),
-        ml=length,
-        redundancy=len(tvals) - length,
+        sf=counts[ms],
+        ml=best_len,
+        redundancy=len(tvals) - best_len,
         affinity=affinity,
         tracker_start=ts,
     )
@@ -121,11 +122,13 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
 def enumerate_trends(antigen) -> frozenset[CategorySeq]:
     """Every contiguous window of length >= 2 occurring >= 2 times."""
     seq = _values(antigen)
-    n = len(seq)
     trends = set()
-    for length in range(2, n):
-        for start in range(n - length + 1):
-            window = seq[start : start + length]
-            if window not in trends and count_occurrences(window, seq) >= 2:
-                trends.add(window)
+    starts = range(len(seq))
+    for length in range(2, len(seq)):
+        counts = Counter(seq[i : i + length] for i in starts if i + length <= len(seq))
+        repeated = {window for window, count in counts.items() if count >= 2}
+        if not repeated:
+            break
+        trends |= repeated
+        starts = [i for i in starts if seq[i : i + length] in repeated]
     return frozenset(trends)

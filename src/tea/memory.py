@@ -32,7 +32,6 @@ class MemoryCell:
     tracker_values: CategorySeq
     redundancy: int
     created_gen: int
-    source_antigen: str = ""
 
 
 class MemoryPool:
@@ -53,7 +52,7 @@ class MemoryPool:
     def cell(self, ms) -> MemoryCell | None:
         return self._cells.get(tuple(ms))
 
-    def consider(self, tracker_values, match: MatchResult, gen: int, antigen_label: str = "") -> str:
+    def consider(self, tracker_values, match: MatchResult, gen: int) -> str:
         """Admit, replace, or reject a proliferating tracker.
 
         Returns one of "inserted", "replaced", "rejected".
@@ -70,7 +69,6 @@ class MemoryPool:
             tracker_values=tuple(tracker_values),
             redundancy=match.redundancy,
             created_gen=gen,
-            source_antigen=antigen_label,
         )
         return "inserted" if existing is None else "replaced"
 

@@ -52,15 +52,19 @@ class PoolConfig:
             raise ConfigError("sizes and clone_factor must be >= 1")
         if not 1 <= self.init_len_min <= self.init_len_max:
             raise ConfigError("bad initial length range")
-        if self.band_width <= 0:
-            raise ConfigError("band_width must be positive")
+        if not (math.isfinite(self.band_width) and self.band_width > 0):
+            raise ConfigError("band_width must be positive and finite")
+        if not (math.isfinite(self.gaussian_std) and self.gaussian_std >= 0):
+            raise ConfigError("gaussian_std must be non-negative and finite")
+        if not math.isfinite(self.gaussian_mean):
+            raise ConfigError("gaussian_mean must be finite")
         if not 0.0 <= self.mutation_extend_prob <= 1.0:
             raise ConfigError("mutation_extend_prob must be in [0,1]")
         if not 0.0 <= self.apoptosis_rate < 1.0:
             raise ConfigError("apoptosis_rate must be in [0,1)")
         if self.clone_lifespan < 1:
             raise ConfigError("clone_lifespan must be >= 1")
-        if self.bind_threshold < 0:
+        if not self.bind_threshold >= 0:
             raise ConfigError("bind_threshold must be >= 0")
 
 
@@ -202,15 +206,15 @@ def cull_stale_clones(pool: list[Tracker], config: PoolConfig, current_gen: int)
     ]
 
 
-def homeostasis(pool: list[Tracker], config: PoolConfig, rng: random.Random, ids) -> list[Tracker]:
+def homeostasis(pool: list[Tracker], config: PoolConfig, rng: random.Random, ids, gen: int) -> list[Tracker]:
     """Clone uniformly chosen members until the pool is back at min_pool.
 
     Copies are unmutated (fresh id only).  An empty pool is re-seeded
-    from scratch; nature never actually reaches zero.
+    from scratch, born at gen; nature never actually reaches zero.
     """
     if not pool:
         log.warning("tracker pool emptied; re-seeding %d random trackers", config.init_size)
-        return init_pool(config, rng, ids)
+        return init_pool(config, rng, ids, gen)
     pool = list(pool)
     while len(pool) < config.min_pool:
         donor = pool[rng.randrange(len(pool))]

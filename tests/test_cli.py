@@ -175,8 +175,34 @@ class TestDetect:
         with pytest.raises(SystemExit):
             read_prices(bad)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("timestamp,close\n0,10\n1,ten\n", "line 3"),
+            ("timestamp,close\n0,10\n1\n", "line 3"),
+            (None, "No such file"),
+        ],
+    )
+    def test_bad_csv_is_an_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "prices.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(["detect", "--input", str(path), "--runs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["init_size = 1.5\n", "band_width = nan\n"])
+    def test_bad_config_is_an_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["run", "--preset", "exp1", "--runs", "1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1

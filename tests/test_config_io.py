@@ -40,6 +40,11 @@ class TestParseOverrides:
         with pytest.raises(ConfigError):
             parse_overrides("shortening_enabled = maybe")
 
+    @pytest.mark.parametrize("line", ["init_size = 1.5", "band_width = wide"])
+    def test_unparseable_value_names_line(self, line):
+        with pytest.raises(ConfigError, match="line 2"):
+            parse_overrides(f"# tuning\n{line}\n")
+
 
 class TestLoadConfig:
     def test_overrides_on_base(self, tmp_path):

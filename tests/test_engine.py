@@ -47,11 +47,6 @@ class TestPresentationPhase:
         with pytest.raises(SpecError):
             PresentationPhase(1, 5, ANTIGEN_A1)
 
-    def test_non_incremental_presents_whole_antigen(self):
-        phase = PresentationPhase(3, 5, ANTIGEN_A1, incremental=False)
-        assert phase.end_gen == 5
-        assert phase.presented(3).seq == ANTIGEN_A1.seq
-
     def test_inverted_window_rejected(self):
         with pytest.raises(SpecError):
             PresentationPhase(5, 4, ANTIGEN_A1)

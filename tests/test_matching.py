@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tea.encoding import Antigen
 from tea.engine import ANTIGEN_A, ANTIGEN_A1, ANTIGEN_A2
 from tea.matching import (
     MatchingError,
@@ -51,6 +52,19 @@ def brute_force_match(tracker, antigen, threshold=0.0):
             ms = antigen[As : As + length]
             return ms, count_occurrences(ms, antigen), length, len(tracker) - length
     return (), 0, 0, len(tracker)
+
+
+def brute_force_trends(seq):
+    """Independent reference: re-count every window of length >= 2."""
+    seq = tuple(seq)
+    n = len(seq)
+    trends = set()
+    for length in range(2, n):
+        for start in range(n - length + 1):
+            window = seq[start : start + length]
+            if window not in trends and count_occurrences(window, seq) >= 2:
+                trends.add(window)
+    return frozenset(trends)
 
 
 class TestCountOccurrences:
@@ -184,3 +198,14 @@ class TestEnumerateTrends:
         for trend in enumerate_trends(seq):
             assert len(trend) >= 2
             assert count_occurrences(trend, seq) >= 2
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from([1.0, 2.0]), max_size=16),
+            st.lists(st.sampled_from([-0.5, 1.0, 2.0]), max_size=16),
+        )
+    )
+    def test_equals_brute_force(self, seq):
+        assert enumerate_trends(seq) == brute_force_trends(seq)
+        assert enumerate_trends(Antigen(tuple(seq))) == brute_force_trends(seq)

@@ -17,13 +17,12 @@ def match_for(ms, redundancy, sf=2):
 class TestConsider:
     def test_insert_new_key(self):
         pool = MemoryPool()
-        action = pool.consider((1.0, 2.0, 9.0), match_for((1.0, 2.0), 1), gen=3, antigen_label="A")
+        action = pool.consider((1.0, 2.0, 9.0), match_for((1.0, 2.0), 1), gen=3)
         assert action == "inserted"
         cell = pool.cell((1.0, 2.0))
         assert cell.tracker_values == (1.0, 2.0, 9.0)
         assert cell.redundancy == 1
         assert cell.created_gen == 3
-        assert cell.source_antigen == "A"
 
     def test_replace_only_on_lower_redundancy(self):
         pool = MemoryPool()
@@ -94,7 +93,7 @@ class TestFeedbackClones:
 class TestRoundTrip:
     def test_rows_round_trip(self):
         pool = MemoryPool()
-        pool.consider((1.0, 2.0, -0.5), match_for((1.0, 2.0), 1), gen=7, antigen_label="A1")
+        pool.consider((1.0, 2.0, -0.5), match_for((1.0, 2.0), 1), gen=7)
         pool.consider((2.0, 1.0), match_for((2.0, 1.0), 0), gen=9)
         restored = MemoryPool.from_rows(pool.to_rows())
         assert len(restored) == 2

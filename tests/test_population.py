@@ -60,6 +60,14 @@ class TestPoolConfig:
             {"apoptosis_rate": 1.0},
             {"clone_lifespan": 0},
             {"bind_threshold": -0.1},
+            {"band_width": math.nan},
+            {"band_width": math.inf},
+            {"gaussian_std": -0.1},
+            {"gaussian_std": math.nan},
+            {"gaussian_std": math.inf},
+            {"bind_threshold": math.nan},
+            {"gaussian_mean": math.nan},
+            {"gaussian_mean": -math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -209,7 +217,7 @@ class TestRegulation:
         config = PoolConfig(min_pool=20)
         ids = new_id_source()
         pool = [make_tracker((1.0, 2.0), tid=next(ids)) for _ in range(3)]
-        topped = homeostasis(pool, config, random.Random(0), ids)
+        topped = homeostasis(pool, config, random.Random(0), ids, 4)
         assert len(topped) == 20
         assert {t.values for t in topped} == {(1.0, 2.0)}
         assert len({t.id for t in topped}) == 20  # copies get fresh ids
@@ -217,14 +225,15 @@ class TestRegulation:
     def test_homeostasis_reseeds_empty_pool(self, caplog):
         config = PoolConfig(init_size=20)
         with caplog.at_level("WARNING", logger="tea.population"):
-            pool = homeostasis([], config, random.Random(0), new_id_source())
+            pool = homeostasis([], config, random.Random(0), new_id_source(), 7)
         assert len(pool) == 20
+        assert all(t.birth_gen == 7 and t.origin == NAIVE for t in pool)
         assert "re-seeding" in caplog.text
 
     def test_homeostasis_leaves_large_pool_alone(self):
         config = PoolConfig(min_pool=20)
         pool = self.pool_of(25)
-        assert homeostasis(pool, config, random.Random(0), new_id_source()) == pool
+        assert homeostasis(pool, config, random.Random(0), new_id_source(), 4) == pool
 
 
 class TestRandomEstimate:
