@@ -1,10 +1,11 @@
 """Random-search comparator.
 
 Generates one big random tracker population (same distribution as the
-evolving pool's initialisation), binds every tracker to the antigen
-once, and keeps the least redundant tracker per repeating match
-sequence.  No proliferation, mutation, or memory feedback: this is the
-budget-for-budget baseline the evolving search has to beat.
+evolving pool's initialisation), binds each distinct tracker value
+tuple to the antigen once, and keeps the least redundant tracker per
+repeating match sequence.  No proliferation, mutation, or memory
+feedback: this is the budget-for-budget baseline the evolving search
+has to beat.
 """
 
 from __future__ import annotations
@@ -29,11 +30,19 @@ def random_search(
     antigen: Antigen, population_size: int, config: PoolConfig, rng: random.Random
 ) -> RandomSearchResult:
     """One-shot random population bound against the full antigen."""
+    if population_size < 0:
+        raise ValueError(f"population size must be >= 0, got {population_size}")
     memory = MemoryPool()
     ids = new_id_source()
+    # the antigen is fixed, so trackers drawn with the same values share one bind
+    matches = {}
     for _ in range(population_size):
         tracker = random_tracker(config, rng, ids, gen=0)
-        match = longest_match(tracker.values, antigen, config.bind_threshold)
+        match = matches.get(tracker.values)
+        if match is None:
+            match = matches[tracker.values] = longest_match(
+                tracker.values, antigen, config.bind_threshold
+            )
         if match.is_trend_match:
             memory.consider(tracker.values, match, gen=0)
     return RandomSearchResult(

@@ -66,8 +66,8 @@ def band(delta: float, width: float) -> float:
     shrinks: a $0.40 rise bands to $1, a -$0.30 move with width $0.5
     bands to -$0.5.
     """
-    if width <= 0:
-        raise EncodingError(f"band width must be positive, got {width}")
+    if not (math.isfinite(width) and width > 0):
+        raise EncodingError(f"band width must be positive and finite, got {width}")
     if delta == 0:
         return 0.0
     # round() absorbs float noise in the quotient so banding is

@@ -7,11 +7,19 @@ price change arrived per generation.  Outside phases no binding
 happens, but the regulation phases (apoptosis, stale-clone culling,
 homeostasis) keep running, so the population decays back to its floor.
 
-Per generation the order is fixed: bind every tracker, proliferate and
+Per generation the order is fixed: bind the trackers, proliferate and
 mutate the improvers, submit them to long-term memory, then apoptose,
 cull stale clones, and top back up.  All randomness comes from a single
 per-run seeded stream consumed in that order, so a (spec, config, seed)
 triple is fully reproducible.
+
+Homeostasis copies and sibling clones share their values, so most
+trackers repeat a value tuple already in the pool.  Binding runs once
+per distinct value tuple in each generation (the presented prefix grows
+every generation), and every tracker with that tuple gets the same
+frozen MatchResult.  Observation likewise tests each distinct tuple
+against the true trends once per run.  Neither draws random numbers,
+so sharing their results leaves the draw order unchanged.
 """
 
 from __future__ import annotations
@@ -139,13 +147,21 @@ class RunStats:
     total_created: int = 0
 
 
-def _matching_counts(pool: list[Tracker], truth) -> dict[CategorySeq, int]:
-    """Trackers containing each trend, counting each distinct value tuple once."""
-    carriers = Counter(t.values for t in pool)
-    return {
-        trend: sum(n for values, n in carriers.items() if count_occurrences(trend, values))
-        for trend in sorted(truth, key=lambda t: (len(t), t))
-    }
+def _matching_counts(pool: list[Tracker], truth, contains: dict) -> dict[CategorySeq, int]:
+    """Trackers containing each trend, counting each distinct value tuple once.
+
+    contains maps a value tuple to the trends of truth it contains; it
+    is filled on a miss and may be shared by every call with the same truth.
+    """
+    trends = sorted(truth, key=lambda t: (len(t), t))
+    counts = dict.fromkeys(trends, 0)
+    for values, n in Counter(t.values for t in pool).items():
+        found = contains.get(values)
+        if found is None:
+            found = contains[values] = tuple(t for t in trends if count_occurrences(t, values))
+        for trend in found:
+            counts[trend] += n
+    return counts
 
 
 def run_generation(
@@ -157,13 +173,23 @@ def run_generation(
     gen: int,
     ids,
     stats: RunStats,
-    truth=(),
+    truth,
+    contains: dict,
 ) -> list[Tracker]:
-    """One generation: bind/proliferate (if presenting), then regulate."""
+    """One generation: bind/proliferate (if presenting), then regulate.
+
+    contains is the observation memo of _matching_counts; one dict
+    serves every generation of a run, so each value tuple is tested once.
+    """
     if presented is not None:
         clones = []
+        matches = {}  # one bind per distinct value tuple against this prefix
         for tracker in pool:
-            match = longest_match(tracker.values, presented, config.bind_threshold)
+            match = matches.get(tracker.values)
+            if match is None:
+                match = matches[tracker.values] = longest_match(
+                    tracker.values, presented, config.bind_threshold
+                )
             if not proliferation_check(tracker, match):
                 continue
             record_improvement(tracker, match, gen)
@@ -178,7 +204,7 @@ def run_generation(
     pool = apoptose(pool, config, rng)
     pool = cull_stale_clones(pool, config, gen)
     pool = homeostasis(pool, config, rng, ids, gen)
-    stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, truth)))
+    stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, truth, contains)))
     return pool
 
 
@@ -190,6 +216,7 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
     initial_snapshot = [replace(t) for t in pool]
     memory = MemoryPool()
     stats = RunStats(seed=seed, final_memory=memory)
+    contains = {}  # value tuple -> trends of spec.truth it contains
 
     for gen in range(1, spec.total_generations + 1):
         phase = spec.phase_at(gen)
@@ -201,7 +228,9 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
                 elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
                     pool = memory.feedback_clones(config, rng, gen, ids)
             presented = phase.presented(gen)
-        pool = run_generation(pool, memory, presented, config, rng, gen, ids, stats, spec.truth)
+        pool = run_generation(
+            pool, memory, presented, config, rng, gen, ids, stats, spec.truth, contains
+        )
 
     stats.total_created = next(ids)
     return stats

@@ -25,6 +25,12 @@ CLONE = "clone"
 MEMORY_CLONE = "memory-clone"
 
 
+# Upper bound on init_size and min_pool: every tracker of the floor is
+# allocated at once, so a huge value would exhaust memory before the
+# first generation.  The presets use 20-40.
+MAX_POOL_SETTING = 100_000
+
+
 class ConfigError(ValueError):
     """Raised for invalid pool configuration."""
 
@@ -50,6 +56,8 @@ class PoolConfig:
             self.gaussian_std = 2.0 * self.band_width
         if self.init_size < 1 or self.min_pool < 1 or self.clone_factor < 1:
             raise ConfigError("sizes and clone_factor must be >= 1")
+        if max(self.init_size, self.min_pool) > MAX_POOL_SETTING:
+            raise ConfigError(f"init_size and min_pool must be <= {MAX_POOL_SETTING}")
         if not 1 <= self.init_len_min <= self.init_len_max:
             raise ConfigError("bad initial length range")
         if not (math.isfinite(self.band_width) and self.band_width > 0):

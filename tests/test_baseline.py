@@ -2,12 +2,27 @@
 
 import random
 
+import pytest
+
 from tea.baseline import random_search
 from tea.engine import ANTIGEN_A
-from tea.matching import enumerate_trends
-from tea.population import PoolConfig
+from tea.matching import enumerate_trends, longest_match
+from tea.memory import MemoryPool
+from tea.population import PoolConfig, new_id_source, random_tracker
 
 CONFIG = PoolConfig(band_width=0.5, gaussian_mean=1.2, gaussian_std=0.5, init_len_min=2)
+
+
+def reference_search(antigen, population_size, config, rng) -> MemoryPool:
+    """random_search as a plain loop that binds every draw afresh."""
+    memory = MemoryPool()
+    ids = new_id_source()
+    for _ in range(population_size):
+        tracker = random_tracker(config, rng, ids, gen=0)
+        match = longest_match(tracker.values, antigen, config.bind_threshold)
+        if match.is_trend_match:
+            memory.consider(tracker.values, match, gen=0)
+    return memory
 
 
 class TestRandomSearch:
@@ -43,3 +58,13 @@ class TestRandomSearch:
 
     def test_zero_population_detects_nothing(self):
         assert random_search(ANTIGEN_A, 0, CONFIG, random.Random(0)).detected == frozenset()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_memory_equals_binding_every_draw(self, seed):
+        result = random_search(ANTIGEN_A, 3000, CONFIG, random.Random(seed))
+        expected = reference_search(ANTIGEN_A, 3000, CONFIG, random.Random(seed))
+        assert result.memory.to_rows() == expected.to_rows()
+
+    def test_rejects_negative_population(self):
+        with pytest.raises(ValueError, match="population size"):
+            random_search(ANTIGEN_A, -5, CONFIG, random.Random(0))

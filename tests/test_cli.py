@@ -138,6 +138,13 @@ class TestRandomSearch:
         assert "pop size" in out
         assert (out_dir / "random_search.csv").read_text().count("\n") == 3  # header + 2 rows
 
+    def test_negative_size_is_an_error_line(self, capsys):
+        assert main(["random-search", "--population-size", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1  # the header, no result row
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestDetect:
     def write_prices(self, path):
@@ -169,6 +176,15 @@ class TestDetect:
         assert "banded changes" in out
         assert "detection rate" in out
 
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_band_width_is_an_error_line(self, tmp_path, capsys, width):
+        csv_path = tmp_path / "prices.csv"
+        self.write_prices(csv_path)
+        assert main(["detect", "--input", str(csv_path), "--band-width", width]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive and finite" in err
+        assert len(err.splitlines()) == 1
+
     def test_rejects_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,price\n0,10\n1,11\n")
@@ -198,7 +214,9 @@ class TestTopLevel:
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text", ["init_size = 1.5\n", "band_width = nan\n"])
+    @pytest.mark.parametrize(
+        "text", ["init_size = 1.5\n", "band_width = nan\n", "init_size = 1000000000\n"]
+    )
     def test_bad_config_is_an_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

@@ -33,6 +33,9 @@ class TestBand:
             band(1.0, 0.0)
         with pytest.raises(EncodingError):
             band(1.0, -0.5)
+        for width in (math.nan, math.inf):
+            with pytest.raises(EncodingError, match="positive and finite"):
+                band(1.0, width)
 
     def test_tolerates_float_noise_in_quotient(self):
         # 0.3 / 0.1 is 2.9999... in floats; the quotient must not round up

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tea.engine import (
     ANTIGEN_A,
@@ -13,13 +14,14 @@ from tea.engine import (
     ExperimentSpec,
     PresentationPhase,
     SpecError,
+    _matching_counts,
     preset_config,
     preset_spec,
     run_batch,
     run_experiment,
 )
-from tea.matching import enumerate_trends
-from tea.population import MEMORY_CLONE, PoolConfig
+from tea.matching import count_occurrences, enumerate_trends
+from tea.population import MEMORY_CLONE, NAIVE, PoolConfig, Tracker
 
 # Small and fast: enough signal for structural checks without the
 # calibrated preset's population growth.
@@ -154,6 +156,26 @@ class TestRunExperiment:
         stats = run_experiment(self.spec, FAST, seed=0)
         assert stats.total_created >= FAST.init_size
         assert stats.total_created >= max(r.pool_size for r in stats.records)
+
+
+value_tuples = st.lists(st.sampled_from([-0.5, 1.0, 2.0]), min_size=1, max_size=6).map(tuple)
+
+
+class TestMatchingCounts:
+    @given(st.lists(value_tuples, max_size=30), st.lists(value_tuples, max_size=30))
+    def test_memo_equals_testing_every_tracker(self, first, second):
+        # the memo is filled by the first pool and read by the second
+        truth = enumerate_trends(ANTIGEN_A)
+        contains = {}
+        for pool_values in (first, second):
+            pool = [Tracker(i, v, NAIVE, 0) for i, v in enumerate(pool_values)]
+            expected = {
+                trend: sum(1 for t in pool if count_occurrences(trend, t.values))
+                for trend in sorted(truth, key=lambda t: (len(t), t))
+            }
+            got = _matching_counts(pool, truth, contains)
+            assert got == expected
+            assert list(got) == list(expected)
 
 
 class TestPoolActions:

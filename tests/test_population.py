@@ -10,6 +10,7 @@ from tea.matching import MatchResult, longest_match
 from tea.population import (
     CLONE,
     MEMORY_CLONE,
+    MAX_POOL_SETTING,
     NAIVE,
     ConfigError,
     PoolConfig,
@@ -68,6 +69,9 @@ class TestPoolConfig:
             {"bind_threshold": math.nan},
             {"gaussian_mean": math.nan},
             {"gaussian_mean": -math.inf},
+            {"init_size": MAX_POOL_SETTING + 1},
+            {"min_pool": MAX_POOL_SETTING + 1},
+            {"init_size": 1_000_000_000},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
