@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .encoding import Antigen, CategorySeq
 from .matching import longest_match
 from .memory import MemoryPool
-from .population import PoolConfig, random_tracker, new_id_source
+from .population import PoolConfig, random_tracker
 
 
 @dataclass
@@ -33,11 +33,10 @@ def random_search(
     if population_size < 0:
         raise ValueError(f"population size must be >= 0, got {population_size}")
     memory = MemoryPool()
-    ids = new_id_source()
     # the antigen is fixed, so trackers drawn with the same values share one bind
     matches = {}
     for _ in range(population_size):
-        tracker = random_tracker(config, rng, ids, gen=0)
+        tracker = random_tracker(config, rng)
         match = matches.get(tracker.values)
         if match is None:
             match = matches[tracker.values] = longest_match(

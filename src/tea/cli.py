@@ -50,10 +50,10 @@ def parse_antigen(text: str) -> Antigen:
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(
-            f"error: {text!r} is neither a named antigen ({', '.join(FIXTURES)}) "
+        raise ValueError(
+            f"{text!r} is neither a named antigen ({', '.join(FIXTURES)}) "
             "nor a comma-separated value row"
-        )
+        ) from None
     return Antigen(values, "custom")
 
 
@@ -61,7 +61,7 @@ def read_prices(path) -> list[PricePoint]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"timestamp", "close"} - set(reader.fieldnames):
-            raise SystemExit("error: price CSV needs a 'timestamp,close' header")
+            raise ValueError(f"{path}: price CSV needs a 'timestamp,close' header")
         try:
             return [PricePoint(float(r["timestamp"]), float(r["close"])) for r in reader]
         except (TypeError, ValueError) as exc:  # a short row's missing field is None
@@ -158,7 +158,7 @@ def cmd_random_search(args):
 def cmd_detect(args):
     antigen = encode(read_prices(args.input), args.band_width, label=Path(args.input).stem)
     if len(antigen) < 2:
-        raise SystemExit("error: need at least 3 price rows to look for trends")
+        raise ValueError("need at least 3 price rows to look for trends")
     base = PoolConfig(band_width=args.band_width)
     config = _config_from_args(args, base)
     total = max(args.generations, len(antigen))

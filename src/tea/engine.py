@@ -40,7 +40,6 @@ from .population import (
     homeostasis,
     init_pool,
     mutate,
-    new_id_source,
     proliferation_check,
     record_improvement,
 )
@@ -135,7 +134,6 @@ class MemoryEvent:
     action: str
     ms: CategorySeq
     redundancy: int
-    presented: CategorySeq
 
 
 @dataclass
@@ -171,7 +169,6 @@ def run_generation(
     config: PoolConfig,
     rng: random.Random,
     gen: int,
-    ids,
     stats: RunStats,
     truth,
     contains: dict,
@@ -180,6 +177,8 @@ def run_generation(
 
     contains is the observation memo of _matching_counts; one dict
     serves every generation of a run, so each value tuple is tested once.
+    Every tracker born here (clones, homeostasis copies, a re-seed) is
+    added to stats.total_created.
     """
     if presented is not None:
         clones = []
@@ -194,16 +193,16 @@ def run_generation(
                 continue
             record_improvement(tracker, match, gen)
             for _ in range(clone_count(match, config)):
-                clones.append(mutate(tracker, config, rng, gen, ids, match.tracker_span))
+                clones.append(mutate(tracker, config, rng, gen, match.tracker_span))
             action = memory.consider(tracker.values, match, gen)
             if action != "rejected":
-                stats.memory_events.append(
-                    MemoryEvent(gen, action, match.ms, match.redundancy, presented.seq)
-                )
+                stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
+        stats.total_created += len(clones)
         pool = pool + clones
     pool = apoptose(pool, config, rng)
-    pool = cull_stale_clones(pool, config, gen)
-    pool = homeostasis(pool, config, rng, ids, gen)
+    culled = cull_stale_clones(pool, config, gen)
+    pool = homeostasis(culled, config, rng)
+    stats.total_created += len(pool) - len(culled)
     stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, truth, contains)))
     return pool
 
@@ -211,11 +210,10 @@ def run_generation(
 def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunStats:
     """A full seeded run of one experiment schedule."""
     rng = random.Random(seed)
-    ids = new_id_source()
-    pool = init_pool(config, rng, ids)
+    pool = init_pool(config, rng)
     initial_snapshot = [replace(t) for t in pool]
     memory = MemoryPool()
-    stats = RunStats(seed=seed, final_memory=memory)
+    stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
     contains = {}  # value tuple -> trends of spec.truth it contains
 
     for gen in range(1, spec.total_generations + 1):
@@ -226,13 +224,12 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
                 if phase.pool_action_at_start == POOL_ACTION_RESET:
                     pool = [replace(t) for t in initial_snapshot]
                 elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
-                    pool = memory.feedback_clones(config, rng, gen, ids)
+                    pool = memory.feedback_clones(config, rng)
+                    stats.total_created += len(pool)
             presented = phase.presented(gen)
         pool = run_generation(
-            pool, memory, presented, config, rng, gen, ids, stats, spec.truth, contains
+            pool, memory, presented, config, rng, gen, stats, spec.truth, contains
         )
-
-    stats.total_created = next(ids)
     return stats
 
 

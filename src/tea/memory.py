@@ -4,7 +4,8 @@ One cell per distinct match sequence, holding the least redundant
 tracker seen for it.  A candidate with a new MS is always admitted; one
 with a known MS replaces the cell only if it carries less redundancy.
 The pool persists for the whole run and can be cloned back into the
-tracker population when a new antigen arrives.
+tracker population when a new antigen arrives; each feedback clone is a
+separate Tracker object with a zeroed record.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class MemoryPool:
 
         Returns one of "inserted", "replaced", "rejected".
         """
-        if match.ml < 2 or match.sf < 2:
+        if not match.is_trend_match:
             raise MemoryAdmissionError(
                 f"memory candidate must be a repeating trend (ml={match.ml}, sf={match.sf})"
             )
@@ -72,7 +73,7 @@ class MemoryPool:
         )
         return "inserted" if existing is None else "replaced"
 
-    def feedback_clones(self, config: PoolConfig, rng: random.Random, current_gen: int, ids) -> list[Tracker]:
+    def feedback_clones(self, config: PoolConfig, rng: random.Random) -> list[Tracker]:
         """One tracker per cell, topped up to min_pool with extra copies.
 
         Feedback clones start with zeroed SF/ML records so they can
@@ -80,22 +81,10 @@ class MemoryPool:
         memory pool falls back to a fresh random pool.
         """
         if not self._cells:
-            return init_pool(config, rng, ids, gen=current_gen)
-
-        def clone_of(cell: MemoryCell) -> Tracker:
-            return Tracker(
-                id=next(ids),
-                values=cell.tracker_values,
-                origin=MEMORY_CLONE,
-                birth_gen=current_gen,
-                last_improvement_gen=current_gen,
-            )
-
-        cells = list(self._cells.values())
-        pool = [clone_of(c) for c in cells]
-        while len(pool) < config.min_pool:
-            pool.append(clone_of(cells[rng.randrange(len(cells))]))
-        return pool
+            return init_pool(config, rng)
+        cells = [c.tracker_values for c in self._cells.values()]
+        extra = [cells[rng.randrange(len(cells))] for _ in range(config.min_pool - len(cells))]
+        return [Tracker(values, MEMORY_CLONE) for values in cells + extra]
 
     def detected_trends(self) -> frozenset[CategorySeq]:
         """A trend counts as detected only when some cell's MS equals it."""
@@ -114,20 +103,3 @@ class MemoryPool:
             )
             for c in self._cells.values()
         ]
-
-    @classmethod
-    def from_rows(cls, rows) -> "MemoryPool":
-        pool = cls()
-        for row in rows:
-            row = row.strip()
-            if not row:
-                continue
-            ms_s, tv_s, red_s, gen_s = row.split(";")
-            cell = MemoryCell(
-                ms=tuple(float(v) for v in ms_s.split(",")),
-                tracker_values=tuple(float(v) for v in tv_s.split(",")),
-                redundancy=int(red_s),
-                created_gen=int(gen_s),
-            )
-            pool._cells[cell.ms] = cell
-        return pool

@@ -5,11 +5,14 @@ match improves proliferate into mutated clones (extension or
 shortening); the pool is regulated each generation by random apoptosis,
 culling of clones that stopped improving, and homeostatic cloning back
 up to the floor.
+
+A tracker is its values, its origin and its fitness record; it has no
+identity beyond the object itself.  Copies are separate objects, since
+record_improvement updates each tracker's own record.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import random
@@ -78,21 +81,11 @@ class PoolConfig:
 
 @dataclass
 class Tracker:
-    id: int
     values: tuple[float, ...]
-    origin: str
-    birth_gen: int
+    origin: str = NAIVE
     best_sf: int = 0
     best_ml: int = 0
-    last_improvement_gen: int = 0
-
-    def copy_with_id(self, new_id: int) -> "Tracker":
-        return replace(self, id=new_id)
-
-
-def new_id_source():
-    """Monotone tracker id allocator; draw order follows id order."""
-    return itertools.count()
+    last_improvement_gen: int = 0  # read only for CLONE trackers
 
 
 def random_estimate(config: PoolConfig, rng: random.Random) -> float:
@@ -100,21 +93,15 @@ def random_estimate(config: PoolConfig, rng: random.Random) -> float:
     return band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
 
 
-def random_tracker(config, rng, ids, gen, origin=NAIVE) -> Tracker:
+def random_tracker(config, rng) -> Tracker:
     length = rng.randint(config.init_len_min, config.init_len_max)
     values = tuple(random_estimate(config, rng) for _ in range(length))
-    return Tracker(
-        id=next(ids),
-        values=values,
-        origin=origin,
-        birth_gen=gen,
-        last_improvement_gen=gen,
-    )
+    return Tracker(values)
 
 
-def init_pool(config: PoolConfig, rng: random.Random, ids, gen: int = 0) -> list[Tracker]:
+def init_pool(config: PoolConfig, rng: random.Random) -> list[Tracker]:
     """Fresh naive pool of init_size random trackers."""
-    return [random_tracker(config, rng, ids, gen) for _ in range(config.init_size)]
+    return [random_tracker(config, rng) for _ in range(config.init_size)]
 
 
 def proliferation_check(tracker: Tracker, match: MatchResult) -> bool:
@@ -124,11 +111,7 @@ def proliferation_check(tracker: Tracker, match: MatchResult) -> bool:
     the best the tracker has attained so far.  The caller records the
     improvement (see record_improvement) when this returns True.
     """
-    return (
-        match.sf > 1
-        and match.ml > 1
-        and (match.sf > tracker.best_sf or match.ml > tracker.best_ml)
-    )
+    return match.is_trend_match and (match.sf > tracker.best_sf or match.ml > tracker.best_ml)
 
 
 def record_improvement(tracker: Tracker, match: MatchResult, gen: int) -> None:
@@ -147,7 +130,6 @@ def mutate(
     config: PoolConfig,
     rng: random.Random,
     current_gen: int,
-    ids,
     ms_span: tuple[int, int] | None = None,
 ) -> Tracker:
     """One mutated clone: extend with a fresh estimate, or drop one value.
@@ -182,10 +164,8 @@ def mutate(
         values = parent.values[:drop] + parent.values[drop + 1 :]
         best_sf = best_ml = 0
     return Tracker(
-        id=next(ids),
         values=values,
         origin=CLONE,
-        birth_gen=current_gen,
         best_sf=best_sf,
         best_ml=best_ml,
         last_improvement_gen=current_gen,
@@ -214,17 +194,17 @@ def cull_stale_clones(pool: list[Tracker], config: PoolConfig, current_gen: int)
     ]
 
 
-def homeostasis(pool: list[Tracker], config: PoolConfig, rng: random.Random, ids, gen: int) -> list[Tracker]:
+def homeostasis(pool: list[Tracker], config: PoolConfig, rng: random.Random) -> list[Tracker]:
     """Clone uniformly chosen members until the pool is back at min_pool.
 
-    Copies are unmutated (fresh id only).  An empty pool is re-seeded
-    from scratch, born at gen; nature never actually reaches zero.
+    Copies are unmutated, separate objects carrying the donor's record.
+    An empty pool is re-seeded from scratch; nature never actually
+    reaches zero.
     """
     if not pool:
         log.warning("tracker pool emptied; re-seeding %d random trackers", config.init_size)
-        return init_pool(config, rng, ids, gen)
+        return init_pool(config, rng)
     pool = list(pool)
     while len(pool) < config.min_pool:
-        donor = pool[rng.randrange(len(pool))]
-        pool.append(donor.copy_with_id(next(ids)))
+        pool.append(replace(pool[rng.randrange(len(pool))]))
     return pool

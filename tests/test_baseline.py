@@ -8,7 +8,7 @@ from tea.baseline import random_search
 from tea.engine import ANTIGEN_A
 from tea.matching import enumerate_trends, longest_match
 from tea.memory import MemoryPool
-from tea.population import PoolConfig, new_id_source, random_tracker
+from tea.population import PoolConfig, random_tracker
 
 CONFIG = PoolConfig(band_width=0.5, gaussian_mean=1.2, gaussian_std=0.5, init_len_min=2)
 
@@ -16,9 +16,8 @@ CONFIG = PoolConfig(band_width=0.5, gaussian_mean=1.2, gaussian_std=0.5, init_le
 def reference_search(antigen, population_size, config, rng) -> MemoryPool:
     """random_search as a plain loop that binds every draw afresh."""
     memory = MemoryPool()
-    ids = new_id_source()
     for _ in range(population_size):
-        tracker = random_tracker(config, rng, ids, gen=0)
+        tracker = random_tracker(config, rng)
         match = longest_match(tracker.values, antigen, config.bind_threshold)
         if match.is_trend_match:
             memory.consider(tracker.values, match, gen=0)

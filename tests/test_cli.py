@@ -34,11 +34,17 @@ class TestParseAntigen:
         assert antigen.label == "custom"
 
     def test_garbage_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError):
             parse_antigen("hello world")
 
 
 class TestOracle:
+    def test_bad_antigen_is_an_error_line(self, capsys):
+        assert main(["oracle", "hello"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "neither a named antigen" in err
+        assert len(err.splitlines()) == 1
+
     def test_full_antigen(self, capsys):
         assert main(["oracle", "A"]) == 0
         out = capsys.readouterr().out
@@ -188,7 +194,7 @@ class TestDetect:
     def test_rejects_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,price\n0,10\n1,11\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError):
             read_prices(bad)
 
     @pytest.mark.parametrize(
@@ -197,6 +203,8 @@ class TestDetect:
             ("timestamp,close\n0,10\n1,ten\n", "line 3"),
             ("timestamp,close\n0,10\n1\n", "line 3"),
             (None, "No such file"),
+            ("time,price\n0,10\n1,11\n2,12\n", "'timestamp,close' header"),
+            ("timestamp,close\n0,10\n1,11\n", "at least 3 price rows"),
         ],
     )
     def test_bad_csv_is_an_error_line(self, tmp_path, capsys, text, message):

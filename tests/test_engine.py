@@ -21,7 +21,7 @@ from tea.engine import (
     run_experiment,
 )
 from tea.matching import count_occurrences, enumerate_trends
-from tea.population import MEMORY_CLONE, NAIVE, PoolConfig, Tracker
+from tea.population import PoolConfig, Tracker
 
 # Small and fast: enough signal for structural checks without the
 # calibrated preset's population growth.
@@ -152,10 +152,22 @@ class TestRunExperiment:
         stats = run_experiment(self.spec, FAST, seed=2)
         assert stats.records[-1].pool_size <= 2 * FAST.min_pool
 
-    def test_total_created_counts_every_id(self):
-        stats = run_experiment(self.spec, FAST, seed=0)
-        assert stats.total_created >= FAST.init_size
-        assert stats.total_created >= max(r.pool_size for r in stats.records)
+    @pytest.mark.parametrize(
+        "preset,seed,created",
+        [
+            ("exp1", 0, 172),
+            ("exp2", 0, 293),
+            ("exp3", 0, 1348),
+            ("exp3", 40, 13862),
+            ("exp3", 2, 63748),
+        ],
+    )
+    def test_total_created_counts_every_birth(self, preset, seed, created):
+        # initial, clone, homeostasis, feedback and re-seeded trackers: exp2
+        # has a feedback pool, exp3 seed 40 peaks at 10,843 trackers and
+        # exp3 seed 2 empties its pool and re-seeds it
+        stats = run_experiment(preset_spec(preset), preset_config(), seed)
+        assert stats.total_created == created
 
 
 value_tuples = st.lists(st.sampled_from([-0.5, 1.0, 2.0]), min_size=1, max_size=6).map(tuple)
@@ -168,7 +180,7 @@ class TestMatchingCounts:
         truth = enumerate_trends(ANTIGEN_A)
         contains = {}
         for pool_values in (first, second):
-            pool = [Tracker(i, v, NAIVE, 0) for i, v in enumerate(pool_values)]
+            pool = [Tracker(v) for v in pool_values]
             expected = {
                 trend: sum(1 for t in pool if count_occurrences(trend, t.values))
                 for trend in sorted(truth, key=lambda t: (len(t), t))

@@ -1,4 +1,4 @@
-"""Long-term memory pool admission, feedback, and persistence."""
+"""Long-term memory pool admission and feedback."""
 
 import random
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tea.matching import MatchResult
 from tea.memory import MemoryAdmissionError, MemoryPool
-from tea.population import MEMORY_CLONE, PoolConfig, new_id_source
+from tea.population import MEMORY_CLONE, PoolConfig
 
 
 def match_for(ms, redundancy, sf=2):
@@ -67,44 +67,26 @@ class TestFeedbackClones:
     def test_one_clone_per_cell_with_reset_records(self):
         memory = self.seeded_pool(3)
         config = PoolConfig(min_pool=20)
-        clones = memory.feedback_clones(config, random.Random(0), current_gen=30, ids=new_id_source())
+        clones = memory.feedback_clones(config, random.Random(0))
         assert len(clones) == 20
         assert {c.values for c in clones[:3]} == {c.ms for c in memory}
         for c in clones:
             assert c.origin == MEMORY_CLONE
             assert c.best_sf == 0 and c.best_ml == 0
-            assert c.birth_gen == 30
 
     def test_topped_up_from_cells_only(self):
         memory = self.seeded_pool(2)
         config = PoolConfig(min_pool=10)
-        clones = memory.feedback_clones(config, random.Random(0), 30, new_id_source())
+        clones = memory.feedback_clones(config, random.Random(0))
         assert len(clones) == 10
         assert {c.values for c in clones} == {c.ms for c in memory}
 
     def test_empty_memory_falls_back_to_random_pool(self):
         memory = MemoryPool()
         config = PoolConfig(init_size=20)
-        pool = memory.feedback_clones(config, random.Random(0), 30, new_id_source())
+        pool = memory.feedback_clones(config, random.Random(0))
         assert len(pool) == 20
         assert all(t.origin != MEMORY_CLONE for t in pool)
-
-
-class TestRoundTrip:
-    def test_rows_round_trip(self):
-        pool = MemoryPool()
-        pool.consider((1.0, 2.0, -0.5), match_for((1.0, 2.0), 1), gen=7)
-        pool.consider((2.0, 1.0), match_for((2.0, 1.0), 0), gen=9)
-        restored = MemoryPool.from_rows(pool.to_rows())
-        assert len(restored) == 2
-        for cell in pool:
-            other = restored.cell(cell.ms)
-            assert other.tracker_values == cell.tracker_values
-            assert other.redundancy == cell.redundancy
-            assert other.created_gen == cell.created_gen
-
-    def test_blank_lines_ignored(self):
-        assert len(MemoryPool.from_rows(["", "  ", "1.0,2.0;1.0,2.0;0;3"])) == 1
 
 
 class TestRedundancyMonotonicity:

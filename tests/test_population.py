@@ -21,19 +21,16 @@ from tea.population import (
     homeostasis,
     init_pool,
     mutate,
-    new_id_source,
     proliferation_check,
     random_estimate,
     record_improvement,
 )
 
 
-def make_tracker(values, origin=NAIVE, best_sf=0, best_ml=0, tid=0, gen=0):
+def make_tracker(values, origin=NAIVE, best_sf=0, best_ml=0, gen=0):
     return Tracker(
-        id=tid,
         values=tuple(values),
         origin=origin,
-        birth_gen=gen,
         best_sf=best_sf,
         best_ml=best_ml,
         last_improvement_gen=gen,
@@ -82,23 +79,22 @@ class TestPoolConfig:
 class TestInitPool:
     def test_sizes_and_lengths(self):
         config = PoolConfig(init_size=30, init_len_min=2, init_len_max=4)
-        pool = init_pool(config, random.Random(0), new_id_source())
+        pool = init_pool(config, random.Random(0))
         assert len(pool) == 30
         assert all(2 <= len(t.values) <= 4 for t in pool)
         assert all(t.origin == NAIVE for t in pool)
-        assert [t.id for t in pool] == list(range(30))
 
     def test_values_on_band_grid(self):
         config = PoolConfig(band_width=0.5)
-        pool = init_pool(config, random.Random(1), new_id_source())
+        pool = init_pool(config, random.Random(1))
         for t in pool:
             for v in t.values:
                 assert v == 0.0 or abs(v) / 0.5 == pytest.approx(round(abs(v) / 0.5))
 
     def test_deterministic_per_seed(self):
         config = PoolConfig()
-        a = init_pool(config, random.Random(7), new_id_source())
-        b = init_pool(config, random.Random(7), new_id_source())
+        a = init_pool(config, random.Random(7))
+        b = init_pool(config, random.Random(7))
         assert [t.values for t in a] == [t.values for t in b]
 
 
@@ -136,17 +132,17 @@ class TestMutate:
     def test_extension_appends_banded_value_and_inherits_record(self):
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=1.0)
-        child = mutate(parent, config, random.Random(0), 3, new_id_source())
+        child = mutate(parent, config, random.Random(0), 3)
         assert child.values[:2] == parent.values
         assert len(child.values) == 3
         assert child.origin == CLONE
         assert child.best_sf == 2 and child.best_ml == 2
-        assert child.birth_gen == 3
+        assert child.last_improvement_gen == 3
 
     def test_shortening_resets_record(self):
         parent = make_tracker((1.0, 2.0, -0.5), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=0.0)
-        child = mutate(parent, config, random.Random(0), 3, new_id_source())
+        child = mutate(parent, config, random.Random(0), 3)
         assert len(child.values) == 2
         assert child.best_sf == 0 and child.best_ml == 0
 
@@ -154,7 +150,7 @@ class TestMutate:
         parent = make_tracker((9.0, 1.0, 2.0, 9.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
         for seed in range(20):
-            child = mutate(parent, config, random.Random(seed), 1, new_id_source(), ms_span=(1, 3))
+            child = mutate(parent, config, random.Random(seed), 1, ms_span=(1, 3))
             # the matched window [1,2] always survives
             assert child.values in {(1.0, 2.0, 9.0), (9.0, 1.0, 2.0)}
 
@@ -162,7 +158,7 @@ class TestMutate:
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
         seen = {
-            mutate(parent, config, random.Random(s), 1, new_id_source(), ms_span=(0, 2)).values
+            mutate(parent, config, random.Random(s), 1, ms_span=(0, 2)).values
             for s in range(30)
         }
         assert seen == {(1.0,), (2.0,)}
@@ -170,14 +166,14 @@ class TestMutate:
     def test_length_one_parent_always_extends(self):
         parent = make_tracker((1.0,))
         config = PoolConfig(mutation_extend_prob=0.0)
-        child = mutate(parent, config, random.Random(0), 1, new_id_source())
+        child = mutate(parent, config, random.Random(0), 1)
         assert len(child.values) == 2
 
     def test_shortening_disabled_always_extends(self):
         parent = make_tracker((1.0, 2.0, 3.0))
         config = PoolConfig(mutation_extend_prob=0.0, shortening_enabled=False)
         for seed in range(10):
-            child = mutate(parent, config, random.Random(seed), 1, new_id_source())
+            child = mutate(parent, config, random.Random(seed), 1)
             assert len(child.values) == 4
 
     @given(
@@ -189,14 +185,14 @@ class TestMutate:
     def test_never_empty_and_length_changes_by_one(self, length, seed, extend_prob):
         parent = make_tracker(tuple(float(i) for i in range(length)))
         config = PoolConfig(mutation_extend_prob=extend_prob)
-        child = mutate(parent, config, random.Random(seed), 1, new_id_source())
+        child = mutate(parent, config, random.Random(seed), 1)
         assert len(child.values) >= 1
         assert abs(len(child.values) - length) == 1
 
 
 class TestRegulation:
     def pool_of(self, n, origin=NAIVE):
-        return [make_tracker((1.0, 2.0), origin=origin, tid=i) for i in range(n)]
+        return [make_tracker((1.0, 2.0), origin=origin) for _ in range(n)]
 
     def test_apoptosis_removes_floor_fraction(self):
         config = PoolConfig(apoptosis_rate=0.10)
@@ -219,25 +215,25 @@ class TestRegulation:
 
     def test_homeostasis_tops_up_with_copies(self):
         config = PoolConfig(min_pool=20)
-        ids = new_id_source()
-        pool = [make_tracker((1.0, 2.0), tid=next(ids)) for _ in range(3)]
-        topped = homeostasis(pool, config, random.Random(0), ids, 4)
+        pool = [make_tracker((1.0, 2.0)) for _ in range(3)]
+        topped = homeostasis(pool, config, random.Random(0))
         assert len(topped) == 20
         assert {t.values for t in topped} == {(1.0, 2.0)}
-        assert len({t.id for t in topped}) == 20  # copies get fresh ids
+        # copies are separate objects, so each keeps its own record
+        assert len({id(t) for t in topped}) == 20
 
     def test_homeostasis_reseeds_empty_pool(self, caplog):
         config = PoolConfig(init_size=20)
         with caplog.at_level("WARNING", logger="tea.population"):
-            pool = homeostasis([], config, random.Random(0), new_id_source(), 7)
+            pool = homeostasis([], config, random.Random(0))
         assert len(pool) == 20
-        assert all(t.birth_gen == 7 and t.origin == NAIVE for t in pool)
+        assert all(t.origin == NAIVE for t in pool)
         assert "re-seeding" in caplog.text
 
     def test_homeostasis_leaves_large_pool_alone(self):
         config = PoolConfig(min_pool=20)
         pool = self.pool_of(25)
-        assert homeostasis(pool, config, random.Random(0), new_id_source(), 4) == pool
+        assert homeostasis(pool, config, random.Random(0)) == pool
 
 
 class TestRandomEstimate:

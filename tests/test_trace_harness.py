@@ -3,10 +3,14 @@
 The tracer wraps `tea` functions at the names their callers look them up
 by.  A refactor that renames or removes one of those names breaks the
 benchmark's `--trace 1` mode; these tests catch that in the fast suite.
+The benchmark's self-test (perfbench/selftest.py) builds memory cells and
+reads run statistics directly, so it runs here too.
 """
 
 import importlib.util
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,8 @@ import tea.cli
 from tea.baseline import random_search
 from tea.engine import ANTIGEN_A, preset_config, preset_spec, run_experiment
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +65,10 @@ def test_random_search_binds_each_value_tuple_once(tracer):
     result = random_search(ANTIGEN_A, 2000, preset_config(), random.Random(0))
     binds = tracer.agg["calls"]["matching.bind"]
     assert 0 < binds == len(tracer.bind_keys) < result.population_size
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
