@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -54,6 +55,8 @@ def parse_antigen(text: str) -> Antigen:
             f"{text!r} is neither a named antigen ({', '.join(FIXTURES)}) "
             "nor a comma-separated value row"
         ) from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"antigen row {text!r} has a non-finite value")
     return Antigen(values, "custom")
 
 
@@ -82,14 +85,15 @@ def _emit_batch(runs, truth, out_dir):
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "detection.csv", detection_table_rows(table))
+    rows = detection_table_rows(table)
+    _write_csv(out / "detection.csv", rows)
     with open(out / "detection.json", "w") as fh:
         json.dump(
             {
                 "n_runs": table.n_runs,
                 "detection_rate": table.detection_rate,
                 "inefficiency_rate": table.inefficiency_rate,
-                "rows": detection_table_rows(table),
+                "rows": rows,
             },
             fh,
             indent=2,
@@ -163,7 +167,7 @@ def cmd_detect(args):
     config = _config_from_args(args, base)
     total = max(args.generations, len(antigen))
     spec = ExperimentSpec(
-        phases=[PresentationPhase(1, len(antigen), antigen)],
+        phases=[PresentationPhase(1, antigen)],
         total_generations=total,
     )
     runs = run_batch(spec, config, args.runs, args.seed)

@@ -37,10 +37,6 @@ class Antigen:
     def __len__(self):
         return len(self.seq)
 
-    def prefix(self, k: int) -> "Antigen":
-        """First k values, keeping the label."""
-        return Antigen(self.seq[:k], self.label)
-
 
 def price_changes(series: list[PricePoint]) -> list[float]:
     """Close-to-close deltas in chronological order.

@@ -3,9 +3,10 @@
 An experiment is a list of presentation phases over a fixed number of
 generations.  During a phase the antigen is revealed incrementally: the
 k-th generation of the phase presents its first k values, as if one new
-price change arrived per generation.  Outside phases no binding
-happens, but the regulation phases (apoptosis, stale-clone culling,
-homeostasis) keep running, so the population decays back to its floor.
+price change arrived per generation, so a phase lasts one generation per
+antigen value.  Outside phases no binding happens, but the regulation
+phases (apoptosis, stale-clone culling, homeostasis) keep running, so the
+population decays back to its floor.
 
 Per generation the order is fixed: bind the trackers, proliferate and
 mutate the improvers, submit them to long-term memory, then apoptose,
@@ -60,43 +61,45 @@ ANTIGEN_A2 = Antigen(ANTIGEN_A.seq[10:], "A2")
 FIXTURES = {"A": ANTIGEN_A, "A1": ANTIGEN_A1, "A2": ANTIGEN_A2}
 
 
+# Largest pool a generation may build, about 600 MB at ~290 bytes per
+# tracker.  Long price series can grow the pool without bound; the
+# acceptance seeds peak below 400,000.
+MAX_POOL = 2_000_000
+
+
 class SpecError(ValueError):
     """Raised for malformed experiment specs."""
+
+
+class PoolLimitError(ValueError):
+    """Raised when proliferation would grow the pool past MAX_POOL."""
 
 
 @dataclass
 class PresentationPhase:
     start_gen: int
-    end_gen: int
     antigen: Antigen
     pool_action_at_start: str = POOL_ACTION_NONE
 
     def __post_init__(self):
-        if self.start_gen > self.end_gen:
-            raise SpecError(f"phase window inverted: {self.start_gen}..{self.end_gen}")
         if self.pool_action_at_start not in _POOL_ACTIONS:
             raise SpecError(f"unknown pool action {self.pool_action_at_start!r}")
-        window = self.end_gen - self.start_gen + 1
-        if window < len(self.antigen):
-            raise SpecError(
-                f"incremental window of {window} generations is shorter "
-                f"than antigen {self.antigen.label or '?'} ({len(self.antigen)})"
-            )
-        # normalise to exactly the antigen length; later generations
-        # of an over-wide window would just re-present the full
-        # antigen, so they are treated as quiescent instead
-        self.end_gen = self.start_gen + len(self.antigen) - 1
 
-    def presented(self, gen: int) -> Antigen:
-        """Antigen visible at generation gen: its prefix of one value per generation."""
-        return self.antigen.prefix(gen - self.start_gen + 1)
+    @property
+    def end_gen(self) -> int:
+        """Last generation of the phase: one per antigen value."""
+        return self.start_gen + len(self.antigen) - 1
+
+    def presented(self, gen: int) -> CategorySeq:
+        """The antigen's values visible at generation gen: one more per generation."""
+        return self.antigen.seq[: gen - self.start_gen + 1]
 
 
 @dataclass
 class ExperimentSpec:
     phases: list[PresentationPhase]
     total_generations: int = 50
-    truth: frozenset[CategorySeq] = field(default_factory=frozenset)
+    truth: frozenset[CategorySeq] = field(init=False)  # union of the phases' trends
 
     def __post_init__(self):
         if self.total_generations < 1:
@@ -108,11 +111,7 @@ class ExperimentSpec:
             prev_end = phase.end_gen
         if prev_end > self.total_generations:
             raise SpecError("phase extends past total_generations")
-        if not self.truth:
-            truth = frozenset()
-            for phase in self.phases:
-                truth |= enumerate_trends(phase.antigen)
-            self.truth = truth
+        self.truth = frozenset().union(*(enumerate_trends(p.antigen) for p in self.phases))
 
     def phase_at(self, gen: int) -> PresentationPhase | None:
         for phase in self.phases:
@@ -151,12 +150,11 @@ def _matching_counts(pool: list[Tracker], truth, contains: dict) -> dict[Categor
     contains maps a value tuple to the trends of truth it contains; it
     is filled on a miss and may be shared by every call with the same truth.
     """
-    trends = sorted(truth, key=lambda t: (len(t), t))
-    counts = dict.fromkeys(trends, 0)
+    counts = dict.fromkeys(truth, 0)
     for values, n in Counter(t.values for t in pool).items():
         found = contains.get(values)
         if found is None:
-            found = contains[values] = tuple(t for t in trends if count_occurrences(t, values))
+            found = contains[values] = tuple(t for t in truth if count_occurrences(t, values))
         for trend in found:
             counts[trend] += n
     return counts
@@ -165,20 +163,18 @@ def _matching_counts(pool: list[Tracker], truth, contains: dict) -> dict[Categor
 def run_generation(
     pool: list[Tracker],
     memory: MemoryPool,
-    presented: Antigen | None,
+    presented: CategorySeq | None,
     config: PoolConfig,
     rng: random.Random,
     gen: int,
     stats: RunStats,
-    truth,
-    contains: dict,
 ) -> list[Tracker]:
     """One generation: bind/proliferate (if presenting), then regulate.
 
-    contains is the observation memo of _matching_counts; one dict
-    serves every generation of a run, so each value tuple is tested once.
-    Every tracker born here (clones, homeostasis copies, a re-seed) is
-    added to stats.total_created.
+    Raises PoolLimitError, before making its clones, as soon as a
+    proliferation event would take the pool past MAX_POOL.  Every
+    tracker born here (clones, homeostasis copies, a re-seed) is added
+    to stats.total_created.
     """
     if presented is not None:
         clones = []
@@ -192,7 +188,14 @@ def run_generation(
             if not proliferation_check(tracker, match):
                 continue
             record_improvement(tracker, match, gen)
-            for _ in range(clone_count(match, config)):
+            n_clones = clone_count(match, config)
+            size = len(pool) + len(clones) + n_clones
+            if size > MAX_POOL:
+                raise PoolLimitError(
+                    f"generation {gen}: the pool would grow to {size:,} trackers, "
+                    f"past the limit of {MAX_POOL:,}"
+                )
+            for _ in range(n_clones):
                 clones.append(mutate(tracker, config, rng, gen, match.tracker_span))
             action = memory.consider(tracker.values, match, gen)
             if action != "rejected":
@@ -203,7 +206,6 @@ def run_generation(
     culled = cull_stale_clones(pool, config, gen)
     pool = homeostasis(culled, config, rng)
     stats.total_created += len(pool) - len(culled)
-    stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, truth, contains)))
     return pool
 
 
@@ -214,7 +216,7 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
     initial_snapshot = [replace(t) for t in pool]
     memory = MemoryPool()
     stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
-    contains = {}  # value tuple -> trends of spec.truth it contains
+    contains = {}  # value tuple -> trends of spec.truth it contains, for the whole run
 
     for gen in range(1, spec.total_generations + 1):
         phase = spec.phase_at(gen)
@@ -227,9 +229,9 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
                     pool = memory.feedback_clones(config, rng)
                     stats.total_created += len(pool)
             presented = phase.presented(gen)
-        pool = run_generation(
-            pool, memory, presented, config, rng, gen, stats, spec.truth, contains
-        )
+        pool = run_generation(pool, memory, presented, config, rng, gen, stats)
+        matching = _matching_counts(pool, spec.truth, contains)
+        stats.records.append(GenRecord(gen, len(pool), matching))
     return stats
 
 
@@ -268,23 +270,20 @@ def preset_spec(name: str) -> ExperimentSpec:
     is repopulated from long-term memory. exp3: the full antigen A over
     gens 1-20. All run 50 generations.
     """
-    split_truth = enumerate_trends(ANTIGEN_A1) | enumerate_trends(ANTIGEN_A2)
     if name == "exp1":
         return ExperimentSpec(
             phases=[
-                PresentationPhase(1, 10, ANTIGEN_A1),
-                PresentationPhase(30, 39, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_RESET),
-            ],
-            truth=frozenset(split_truth),
+                PresentationPhase(1, ANTIGEN_A1),
+                PresentationPhase(30, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_RESET),
+            ]
         )
     if name == "exp2":
         return ExperimentSpec(
             phases=[
-                PresentationPhase(1, 10, ANTIGEN_A1),
-                PresentationPhase(30, 39, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_FEEDBACK),
-            ],
-            truth=frozenset(split_truth),
+                PresentationPhase(1, ANTIGEN_A1),
+                PresentationPhase(30, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_FEEDBACK),
+            ]
         )
     if name == "exp3":
-        return ExperimentSpec(phases=[PresentationPhase(1, 20, ANTIGEN_A)])
+        return ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A)])
     raise SpecError(f"unknown preset {name!r} (expected exp1, exp2 or exp3)")

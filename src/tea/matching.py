@@ -17,7 +17,6 @@ no repeat.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ class MatchResult:
     sf: int
     ml: int
     redundancy: int
-    affinity: float
     tracker_start: int = 0  # where the winning window sits in the tracker
 
     @property
@@ -97,9 +95,7 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
         prev = cur
 
     if best_len == 0:
-        return MatchResult(
-            ms=(), sf=0, ml=0, redundancy=len(tvals), affinity=math.inf, tracker_start=0
-        )
+        return MatchResult(ms=(), sf=0, ml=0, redundancy=len(tvals))
 
     # one table of the antigen's windows of length best_len ranks every
     # tied candidate and gives the winner's SF
@@ -108,14 +104,8 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     # the antigen-side window is the MS; identical to the tracker side
     # under exact binding, the observed pattern under a loose threshold
     ms = avals[as_ : as_ + best_len]
-    affinity = max(abs(tvals[ts + k] - ms[k]) for k in range(best_len))
     return MatchResult(
-        ms=ms,
-        sf=counts[ms],
-        ml=best_len,
-        redundancy=len(tvals) - best_len,
-        affinity=affinity,
-        tracker_start=ts,
+        ms=ms, sf=counts[ms], ml=best_len, redundancy=len(tvals) - best_len, tracker_start=ts
     )
 
 

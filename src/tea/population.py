@@ -28,9 +28,11 @@ CLONE = "clone"
 MEMORY_CLONE = "memory-clone"
 
 
-# Upper bound on init_size and min_pool: every tracker of the floor is
-# allocated at once, so a huge value would exhaust memory before the
-# first generation.  The presets use 20-40.
+# Upper bound on init_size, min_pool, init_len_max and clone_factor.
+# Each sizes something built at once (the initial pool, the floor, a
+# tracker's values, one proliferation event's clones), so a huge value
+# would exhaust memory or stall a run before it starts.  The presets use
+# 1-40.
 MAX_POOL_SETTING = 100_000
 
 
@@ -59,8 +61,11 @@ class PoolConfig:
             self.gaussian_std = 2.0 * self.band_width
         if self.init_size < 1 or self.min_pool < 1 or self.clone_factor < 1:
             raise ConfigError("sizes and clone_factor must be >= 1")
-        if max(self.init_size, self.min_pool) > MAX_POOL_SETTING:
-            raise ConfigError(f"init_size and min_pool must be <= {MAX_POOL_SETTING}")
+        sizes = (self.init_size, self.min_pool, self.init_len_max, self.clone_factor)
+        if max(sizes) > MAX_POOL_SETTING:
+            raise ConfigError(
+                f"init_size, min_pool, init_len_max and clone_factor must be <= {MAX_POOL_SETTING}"
+            )
         if not 1 <= self.init_len_min <= self.init_len_max:
             raise ConfigError("bad initial length range")
         if not (math.isfinite(self.band_width) and self.band_width > 0):

@@ -10,8 +10,8 @@ The statistical criteria use fixed base seeds, chosen during calibration
 as windows representative of typical behavior (the per-run success
 probabilities sit around 0.8-0.97, so most windows pass; these are
 pinned for reproducibility, not outliers).  Criterion batches reuse
-module-scoped run caches; the full file takes a few minutes, dominated
-by the ten full-sequence runs.
+module-scoped run caches; the full file takes about 20-35 s on a 2-vCPU
+machine, dominated by the ten full-sequence runs.
 """
 
 import dataclasses
@@ -63,7 +63,7 @@ def report(criterion, ok, detail):
 
 
 def a1_spec():
-    return ExperimentSpec(phases=[PresentationPhase(1, 10, ANTIGEN_A1)])
+    return ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A1)])
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_criterion_2_worked_examples():
     pool = MemoryPool()
     pool.consider(
         (2.0, 2.5, 3.0),
-        MatchResult(ms=(2.0, 2.5), sf=2, ml=2, redundancy=1, affinity=0.0),
+        MatchResult(ms=(2.0, 2.5), sf=2, ml=2, redundancy=1),
         gen=1,
     )
     rate = inefficiency([pool], {(2.0, 2.5)}) * 100

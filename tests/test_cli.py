@@ -1,9 +1,11 @@
 """Command line interface, including byte-identical reruns."""
 
 import json
+import random
 
 import pytest
 
+import tea.engine
 from tea.cli import main, parse_antigen, read_prices
 
 # keeps CLI runs fast: tiny bursts, short schedule is still the preset's
@@ -40,10 +42,16 @@ class TestParseAntigen:
 
 class TestOracle:
     def test_bad_antigen_is_an_error_line(self, capsys):
-        assert main(["oracle", "hello"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "neither a named antigen" in err
-        assert len(err.splitlines()) == 1
+        for row, message in [
+            ("hello", "neither a named antigen"),
+            ("inf,inf,inf,1", "non-finite"),
+            ("nan,1,nan,1", "non-finite"),
+        ]:
+            assert main(["oracle", row]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert len(captured.err.splitlines()) == 1
 
     def test_full_antigen(self, capsys):
         assert main(["oracle", "A"]) == 0
@@ -151,6 +159,13 @@ class TestRandomSearch:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_non_finite_antigen_is_an_error_line(self, capsys):
+        assert main(["random-search", "--population-size", "100", "--antigen", "nan,nan,nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestDetect:
     def write_prices(self, path):
@@ -191,6 +206,24 @@ class TestDetect:
         assert err.startswith("error: ") and "positive and finite" in err
         assert len(err.splitlines()) == 1
 
+    def test_pool_limit_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # a 100-change walk whose pool passes 5,000 trackers in generation 90,
+        # after a re-seed whose warning may also reach stderr
+        rng = random.Random(3)
+        closes = [100.0]
+        for _ in range(100):
+            closes.append(closes[-1] + rng.gauss(0.0, 1.0))
+        path = tmp_path / "walk.csv"
+        path.write_text("timestamp,close\n" + "".join(f"{t},{c}\n" for t, c in enumerate(closes)))
+        monkeypatch.setattr(tea.engine, "MAX_POOL", 5000)
+        argv = ["detect", "--input", str(path), "--band-width", "1", "--runs", "1", "--seed", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert "generation 90: the pool would grow to 5,002 trackers" in errors[0]
+        assert "past the limit of 5,000" in errors[0]
+
     def test_rejects_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,price\n0,10\n1,11\n")
@@ -223,7 +256,13 @@ class TestTopLevel:
         assert "usage" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "text", ["init_size = 1.5\n", "band_width = nan\n", "init_size = 1000000000\n"]
+        "text",
+        [
+            "init_size = 1.5\n",
+            "band_width = nan\n",
+            "init_size = 1000000000\n",
+            "clone_factor = 1000000000\n",
+        ],
     )
     def test_bad_config_is_an_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"

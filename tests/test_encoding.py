@@ -100,12 +100,5 @@ class TestEncode:
 
 
 class TestAntigen:
-    def test_prefix_keeps_label(self):
-        a = Antigen((1.0, 2.0, 3.0), "A")
-        p = a.prefix(2)
-        assert p.seq == (1.0, 2.0)
-        assert p.label == "A"
-        assert len(p) == 2
-
     def test_seq_normalised_to_tuple(self):
         assert Antigen([1.0, 2.0]).seq == (1.0, 2.0)

@@ -36,34 +36,22 @@ FAST = PoolConfig(
 
 class TestPresentationPhase:
     def test_incremental_prefix_per_generation(self):
-        phase = PresentationPhase(1, 10, ANTIGEN_A1)
-        assert phase.presented(1).seq == ANTIGEN_A1.seq[:1]
-        assert phase.presented(4).seq == ANTIGEN_A1.seq[:4]
-        assert phase.presented(10).seq == ANTIGEN_A1.seq
-
-    def test_window_normalised_to_antigen_length(self):
-        phase = PresentationPhase(5, 40, ANTIGEN_A1)
-        assert phase.end_gen == 14
-
-    def test_window_too_short_rejected(self):
-        with pytest.raises(SpecError):
-            PresentationPhase(1, 5, ANTIGEN_A1)
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(SpecError):
-            PresentationPhase(5, 4, ANTIGEN_A1)
+        phase = PresentationPhase(1, ANTIGEN_A1)
+        assert phase.presented(1) == ANTIGEN_A1.seq[:1]
+        assert phase.presented(4) == ANTIGEN_A1.seq[:4]
+        assert phase.presented(10) == ANTIGEN_A1.seq
 
     def test_unknown_pool_action_rejected(self):
         with pytest.raises(SpecError):
-            PresentationPhase(1, 10, ANTIGEN_A1, pool_action_at_start="explode")
+            PresentationPhase(1, ANTIGEN_A1, pool_action_at_start="explode")
 
 
 class TestExperimentSpec:
     def test_truth_defaults_to_union_of_phase_trends(self):
         spec = ExperimentSpec(
             phases=[
-                PresentationPhase(1, 10, ANTIGEN_A1),
-                PresentationPhase(30, 39, ANTIGEN_A2),
+                PresentationPhase(1, ANTIGEN_A1),
+                PresentationPhase(30, ANTIGEN_A2),
             ]
         )
         assert spec.truth == enumerate_trends(ANTIGEN_A1) | enumerate_trends(ANTIGEN_A2)
@@ -72,17 +60,17 @@ class TestExperimentSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(
                 phases=[
-                    PresentationPhase(1, 10, ANTIGEN_A1),
-                    PresentationPhase(10, 19, ANTIGEN_A2),
+                    PresentationPhase(1, ANTIGEN_A1),
+                    PresentationPhase(10, ANTIGEN_A2),
                 ]
             )
 
     def test_phase_past_end_rejected(self):
         with pytest.raises(SpecError):
-            ExperimentSpec(phases=[PresentationPhase(45, 54, ANTIGEN_A1)], total_generations=50)
+            ExperimentSpec(phases=[PresentationPhase(45, ANTIGEN_A1)], total_generations=50)
 
     def test_phase_at(self):
-        spec = ExperimentSpec(phases=[PresentationPhase(1, 10, ANTIGEN_A1)])
+        spec = ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A1)])
         assert spec.phase_at(5) is spec.phases[0]
         assert spec.phase_at(11) is None
 
@@ -112,7 +100,7 @@ class TestPresets:
 
 
 class TestRunExperiment:
-    spec = ExperimentSpec(phases=[PresentationPhase(1, 10, ANTIGEN_A1)])
+    spec = ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A1)])
 
     def test_records_every_generation(self):
         stats = run_experiment(self.spec, FAST, seed=0)
@@ -185,17 +173,15 @@ class TestMatchingCounts:
                 trend: sum(1 for t in pool if count_occurrences(trend, t.values))
                 for trend in sorted(truth, key=lambda t: (len(t), t))
             }
-            got = _matching_counts(pool, truth, contains)
-            assert got == expected
-            assert list(got) == list(expected)
+            assert _matching_counts(pool, truth, contains) == expected
 
 
 class TestPoolActions:
     def test_memory_persists_across_phases(self):
         spec = ExperimentSpec(
             phases=[
-                PresentationPhase(1, 10, ANTIGEN_A1),
-                PresentationPhase(30, 39, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_FEEDBACK),
+                PresentationPhase(1, ANTIGEN_A1),
+                PresentationPhase(30, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_FEEDBACK),
             ]
         )
         # a seed whose first phase produced memory cells
@@ -212,8 +198,8 @@ class TestPoolActions:
     def test_reset_restores_initial_pool(self):
         spec_reset = ExperimentSpec(
             phases=[
-                PresentationPhase(1, 10, ANTIGEN_A1),
-                PresentationPhase(30, 39, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_RESET),
+                PresentationPhase(1, ANTIGEN_A1),
+                PresentationPhase(30, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_RESET),
             ]
         )
         stats = run_experiment(spec_reset, FAST, seed=4)
@@ -234,7 +220,7 @@ class TestRunBatch:
 
     @staticmethod
     def spec():
-        return ExperimentSpec(phases=[PresentationPhase(1, 10, ANTIGEN_A1)])
+        return ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A1)])
 
 
 class TestFixtures:

@@ -1,6 +1,5 @@
 """Binding, match selection, and the repeated-trend oracle."""
 
-import math
 import random
 
 import pytest
@@ -106,7 +105,6 @@ class TestLongestMatch:
         assert m.sf == sf
         assert m.ml == len(ms)
         assert m.redundancy == 0
-        assert m.affinity == 0.0
         assert m.is_trend_match
 
     def test_partial_overlap(self):
@@ -129,7 +127,6 @@ class TestLongestMatch:
         assert m.ms == ()
         assert m.sf == 0 and m.ml == 0
         assert m.redundancy == 2
-        assert math.isinf(m.affinity)
         assert not m.is_trend_match
 
     def test_tie_breaks_on_occurrences(self):
@@ -147,7 +144,6 @@ class TestLongestMatch:
     def test_threshold_binding_reports_antigen_side(self):
         m = longest_match((1.4, 2.4), (1.0, 2.0, 8.0), bind_threshold=0.5)
         assert m.ms == (1.0, 2.0)
-        assert m.affinity == pytest.approx(0.4)
 
     def test_rejects_empty_tracker(self):
         with pytest.raises(MatchingError):

@@ -11,7 +11,7 @@ from tea.population import MEMORY_CLONE, PoolConfig
 
 
 def match_for(ms, redundancy, sf=2):
-    return MatchResult(ms=tuple(ms), sf=sf, ml=len(ms), redundancy=redundancy, affinity=0.0)
+    return MatchResult(ms=tuple(ms), sf=sf, ml=len(ms), redundancy=redundancy)
 
 
 class TestConsider:
@@ -44,7 +44,7 @@ class TestConsider:
     @pytest.mark.parametrize("sf,ml", [(1, 2), (2, 1), (0, 0)])
     def test_rejects_non_trend_candidates(self, sf, ml):
         pool = MemoryPool()
-        bad = MatchResult(ms=(1.0,) * ml, sf=sf, ml=ml, redundancy=0, affinity=0.0)
+        bad = MatchResult(ms=(1.0,) * ml, sf=sf, ml=ml, redundancy=0)
         with pytest.raises(MemoryAdmissionError):
             pool.consider((1.0, 2.0), bad, gen=1)
 

@@ -69,6 +69,8 @@ class TestPoolConfig:
             {"init_size": MAX_POOL_SETTING + 1},
             {"min_pool": MAX_POOL_SETTING + 1},
             {"init_size": 1_000_000_000},
+            {"clone_factor": MAX_POOL_SETTING + 1},
+            {"init_len_max": MAX_POOL_SETTING + 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -100,7 +102,7 @@ class TestInitPool:
 
 class TestProliferation:
     def match(self, sf, ml):
-        return MatchResult(ms=(1.0,) * ml, sf=sf, ml=ml, redundancy=0, affinity=0.0)
+        return MatchResult(ms=(1.0,) * ml, sf=sf, ml=ml, redundancy=0)
 
     def test_requires_repeating_trend(self):
         t = make_tracker((1.0, 2.0))
@@ -253,4 +255,4 @@ class TestRandomEstimate:
         draws = {random_estimate(config, rng) for _ in range(100)}
         assert draws <= {0.5, 1.0, 1.5}
         for v in draws:
-            assert longest_match((v,), (v,)).affinity == 0.0
+            assert longest_match((v,), (v,)).ms == (v,)

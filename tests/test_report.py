@@ -21,7 +21,7 @@ def pool_with(*entries):
     pool = MemoryPool()
     for ms, red in entries:
         tracker = tuple(ms) + (9.0,) * red
-        match = MatchResult(ms=tuple(ms), sf=2, ml=len(ms), redundancy=red, affinity=0.0)
+        match = MatchResult(ms=tuple(ms), sf=2, ml=len(ms), redundancy=red)
         pool.consider(tracker, match, gen=1)
     return pool
 
