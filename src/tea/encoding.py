@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 # A category sequence is a plain tuple of banded price changes.  Tuples
 # keep them hashable, which matching and the memory pool rely on.
@@ -66,10 +67,22 @@ def band(delta: float, width: float) -> float:
         raise EncodingError(f"band width must be positive and finite, got {width}")
     if delta == 0:
         return 0.0
+    q = abs(delta) / width
+    steps = math.ceil(q)
     # round() absorbs float noise in the quotient so banding is
-    # idempotent on its own outputs (e.g. widths like 0.1).
-    steps = max(1, math.ceil(round(abs(delta) / width, 9)))
-    return math.copysign(round(steps * width, 9), delta)
+    # idempotent on its own outputs (e.g. widths like 0.1).  Rounding q
+    # to 9 places moves its ceiling only when q lies just above an
+    # integer, and max(1, ...) matters only when q underflows to 0, so
+    # only those quotients take the rounded path.
+    if steps == 0 or q - (steps - 1) < 1e-6:
+        steps = max(1, math.ceil(round(q, 9)))
+    return math.copysign(_grid_point(steps, width), delta)
+
+
+@lru_cache(maxsize=4096)
+def _grid_point(steps: int, width: float) -> float:
+    """steps * width, rounded to 9 places like every banded value."""
+    return round(steps * width, 9)
 
 
 def encode(series: list[PricePoint], width: float = 1.0, label: str = "") -> Antigen:

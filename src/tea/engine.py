@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .encoding import Antigen, CategorySeq
 from .matching import count_occurrences, enumerate_trends, longest_match
@@ -61,9 +62,9 @@ ANTIGEN_A2 = Antigen(ANTIGEN_A.seq[10:], "A2")
 FIXTURES = {"A": ANTIGEN_A, "A1": ANTIGEN_A1, "A2": ANTIGEN_A2}
 
 
-# Largest pool a generation may build, about 600 MB at ~290 bytes per
-# tracker.  Long price series can grow the pool without bound; the
-# acceptance seeds peak below 400,000.
+# Largest pool a generation may build, about 400 MB at ~200 bytes per
+# tracker (peak RSS over peak pool for exp3 seed 9).  Long price series
+# can grow the pool without bound; the acceptance seeds peak below 400,000.
 MAX_POOL = 2_000_000
 
 
@@ -84,6 +85,8 @@ class PresentationPhase:
     def __post_init__(self):
         if self.pool_action_at_start not in _POOL_ACTIONS:
             raise SpecError(f"unknown pool action {self.pool_action_at_start!r}")
+        if not len(self.antigen):
+            raise SpecError("a presentation phase needs a non-empty antigen")
 
     @property
     def end_gen(self) -> int:
@@ -151,7 +154,7 @@ def _matching_counts(pool: list[Tracker], truth, contains: dict) -> dict[Categor
     is filled on a miss and may be shared by every call with the same truth.
     """
     counts = dict.fromkeys(truth, 0)
-    for values, n in Counter(t.values for t in pool).items():
+    for values, n in Counter(map(attrgetter("values"), pool)).items():
         found = contains.get(values)
         if found is None:
             found = contains[values] = tuple(t for t in truth if count_occurrences(t, values))
@@ -195,8 +198,7 @@ def run_generation(
                     f"generation {gen}: the pool would grow to {size:,} trackers, "
                     f"past the limit of {MAX_POOL:,}"
                 )
-            for _ in range(n_clones):
-                clones.append(mutate(tracker, config, rng, gen, match.tracker_span))
+            clones += mutate(tracker, config, rng, gen, n_clones, match.tracker_span)
             action = memory.consider(tracker.values, match, gen)
             if action != "rejected":
                 stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))

@@ -17,6 +17,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .encoding import band
 from .matching import MatchResult
@@ -84,7 +85,7 @@ class PoolConfig:
             raise ConfigError("bind_threshold must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class Tracker:
     values: tuple[float, ...]
     origin: str = NAIVE
@@ -135,55 +136,68 @@ def mutate(
     config: PoolConfig,
     rng: random.Random,
     current_gen: int,
+    n: int,
     ms_span: tuple[int, int] | None = None,
-) -> Tracker:
-    """One mutated clone: extend with a fresh estimate, or drop one value.
+) -> list[Tracker]:
+    """The n mutated clones of one proliferation event, in draw order.
 
-    Extension is chosen with mutation_extend_prob (always, when
-    shortening is disabled).  Shortening preferentially removes a value
-    outside the parent's current match window (ms_span, half-open);
-    with no redundancy left the removed position is uniform over the
-    whole tracker.  A length-1 parent picked for shortening is extended
-    instead; clones are never empty.
+    Each clone either extends the parent with a fresh estimate or drops
+    one value.  Extension is chosen with mutation_extend_prob (always,
+    when shortening is disabled).  Shortening preferentially removes a
+    value outside the parent's current match window (ms_span,
+    half-open); with no redundancy left the removed position is uniform
+    over the whole tracker.  A length-1 parent picked for shortening is
+    extended instead; clones are never empty.
 
     An extension clone inherits the parent's best SF/ML: its match
     window is carried over unchanged, so re-matching it is not an
     improvement.  A shortened clone is a new entity and starts from a
     zeroed record, which is what lets a leaner tracker re-submit the
     same match sequence to long-term memory.
+
+    Every clone draws as if made alone (rng.random(), then gauss or
+    randrange); siblings with equal values share one tuple.
     """
-    extend = True
-    if config.shortening_enabled and len(parent.values) > 1:
-        extend = rng.random() < config.mutation_extend_prob
-    if extend:
-        values = parent.values + (random_estimate(config, rng),)
-        best_sf, best_ml = parent.best_sf, parent.best_ml
-    else:
-        positions = range(len(parent.values))
-        if ms_span is not None:
-            lo, hi = ms_span
-            redundant = [i for i in positions if not lo <= i < hi]
-            if redundant:
-                positions = redundant
-        drop = positions[rng.randrange(len(positions))]
-        values = parent.values[:drop] + parent.values[drop + 1 :]
-        best_sf = best_ml = 0
-    return Tracker(
-        values=values,
-        origin=CLONE,
-        best_sf=best_sf,
-        best_ml=best_ml,
-        last_improvement_gen=current_gen,
-    )
+    values = parent.values
+    can_shorten = config.shortening_enabled and len(values) > 1
+    extend_prob = config.mutation_extend_prob
+    mean, std, width = config.gaussian_mean, config.gaussian_std, config.band_width
+    best_sf, best_ml = parent.best_sf, parent.best_ml
+    positions = range(len(values))
+    if ms_span is not None:
+        lo, hi = ms_span
+        redundant = [i for i in positions if not lo <= i < hi]
+        if redundant:
+            positions = redundant
+    extended = {}  # appended value -> child values
+    shortened = {}  # dropped position -> child values
+    clones = []
+    for _ in range(n):
+        if not can_shorten or rng.random() < extend_prob:
+            value = band(rng.gauss(mean, std), width)
+            child = extended.get(value)
+            if child is None:
+                child = extended[value] = values + (value,)
+            clones.append(Tracker(child, CLONE, best_sf, best_ml, current_gen))
+        else:
+            drop = positions[rng.randrange(len(positions))]
+            child = shortened.get(drop)
+            if child is None:
+                child = shortened[drop] = values[:drop] + values[drop + 1 :]
+            clones.append(Tracker(child, CLONE, 0, 0, current_gen))
+    return clones
 
 
 def apoptose(pool: list[Tracker], config: PoolConfig, rng: random.Random) -> list[Tracker]:
     """Remove floor(rate * n) trackers uniformly, regardless of fitness."""
-    doomed = math.floor(config.apoptosis_rate * len(pool))
+    n = len(pool)
+    doomed = math.floor(config.apoptosis_rate * n)
     if doomed == 0:
         return list(pool)
-    dead = set(rng.sample(range(len(pool)), doomed))
-    return [t for i, t in enumerate(pool) if i not in dead]
+    keep = [True] * n
+    for i in rng.sample(range(n), doomed):
+        keep[i] = False
+    return list(compress(pool, keep))
 
 
 def cull_stale_clones(pool: list[Tracker], config: PoolConfig, current_gen: int) -> list[Tracker]:
@@ -192,11 +206,8 @@ def cull_stale_clones(pool: list[Tracker], config: PoolConfig, current_gen: int)
     Naive and memory-clone trackers are exempt; they only die by
     apoptosis.
     """
-    return [
-        t
-        for t in pool
-        if t.origin != CLONE or current_gen - t.last_improvement_gen < config.clone_lifespan
-    ]
+    stale = current_gen - config.clone_lifespan  # improved at or before this: stale
+    return [t for t in pool if t.origin != CLONE or t.last_improvement_gen > stale]
 
 
 def homeostasis(pool: list[Tracker], config: PoolConfig, rng: random.Random) -> list[Tracker]:

@@ -98,7 +98,9 @@ def population_series(runs: list[RunStats]) -> list[dict]:
 
 
 def format_value(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else str(float(v))
+    """An integral value as an int while it is exact (below 2**53), else the float."""
+    v = float(v)
+    return str(int(v)) if v.is_integer() and abs(v) < 2**53 else str(v)
 
 
 def format_seq(seq) -> str:

@@ -65,6 +65,12 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "[1,2]  x2" in out
 
+    def test_huge_values_print_as_floats(self, capsys):
+        assert main(["oracle", "1e308,-1e308,1e308,-1e308"]) == 0
+        out = capsys.readouterr().out
+        assert "[1e+308,-1e+308]  x2" in out
+        assert max(len(line) for line in out.splitlines()) < 80
+
 
 class TestShowConfig:
     def test_prints_every_field(self, capsys):

@@ -3,9 +3,28 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tea.encoding import Antigen, EncodingError, PricePoint, band, encode, price_changes
+
+
+def reference_band(delta, width):
+    """The banding formula the fast path in band replaces."""
+    if delta == 0:
+        return 0.0
+    steps = max(1, math.ceil(round(abs(delta) / width, 9)))
+    return math.copysign(round(steps * width, 9), delta)
+
+
+@st.composite
+def deltas_near_grid(draw, width):
+    """Any float, or an exact multiple of width or one of its neighbours."""
+    any_float = st.floats(-1e12, 1e12, allow_nan=False, allow_subnormal=True)
+    multiple = st.integers(-10**6, 10**6).map(lambda k: k * width)
+    near = st.tuples(multiple, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda m: m[0] if m[1] is None else math.nextafter(m[0], m[1])
+    )
+    return draw(any_float | near)
 
 
 class TestBand:
@@ -65,6 +84,31 @@ class TestBand:
     def test_idempotent(self, delta, width):
         once = band(delta, width)
         assert band(once, width) == once
+
+    @given(st.data(), st.sampled_from([0.1, 0.3, 0.5, 1, 7]))
+    @settings(max_examples=500)
+    def test_equals_reference_formula(self, data, width):
+        delta = data.draw(deltas_near_grid(width))
+        out = band(delta, width)
+        expected = reference_band(delta, width)
+        assert out == expected and math.copysign(1, out) == math.copysign(1, expected)
+
+    @pytest.mark.parametrize("width", [0.1, 0.3, 0.5, 1, 7])
+    def test_equals_reference_formula_at_grid_edges(self, width):
+        for k in range(-50, 51):
+            base = k * width
+            for delta in (
+                base,
+                base + 1e-12,
+                base - 1e-12,
+                base + 4e-10 * width,
+                base - 4e-10 * width,
+                base + 6e-10 * width,
+                base - 6e-10 * width,
+                math.nextafter(base, math.inf),
+                math.nextafter(base, -math.inf),
+            ):
+                assert band(delta, width) == reference_band(delta, width), delta
 
 
 class TestPriceChanges:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from tea.encoding import Antigen
 from tea.engine import (
     ANTIGEN_A,
     ANTIGEN_A1,
@@ -44,6 +45,10 @@ class TestPresentationPhase:
     def test_unknown_pool_action_rejected(self):
         with pytest.raises(SpecError):
             PresentationPhase(1, ANTIGEN_A1, pool_action_at_start="explode")
+
+    def test_empty_antigen_rejected(self):
+        with pytest.raises(SpecError, match="empty"):
+            PresentationPhase(1, Antigen(()))
 
 
 class TestExperimentSpec:

@@ -128,68 +128,151 @@ class TestProliferation:
         assert clone_count(self.match(sf=2, ml=2), PoolConfig()) == 2
 
 
+def reference_mutate(parent, config, rng, current_gen, ms_span=None):
+    """The one-clone-per-call mutate that mutate(..., n) replaces."""
+    extend = True
+    if config.shortening_enabled and len(parent.values) > 1:
+        extend = rng.random() < config.mutation_extend_prob
+    if extend:
+        values = parent.values + (random_estimate(config, rng),)
+        best_sf, best_ml = parent.best_sf, parent.best_ml
+    else:
+        positions = range(len(parent.values))
+        if ms_span is not None:
+            lo, hi = ms_span
+            redundant = [i for i in positions if not lo <= i < hi]
+            if redundant:
+                positions = redundant
+        drop = positions[rng.randrange(len(positions))]
+        values = parent.values[:drop] + parent.values[drop + 1 :]
+        best_sf = best_ml = 0
+    return Tracker(values, CLONE, best_sf, best_ml, current_gen)
+
+
+def reference_apoptose(pool, config, rng):
+    doomed = math.floor(config.apoptosis_rate * len(pool))
+    if doomed == 0:
+        return list(pool)
+    dead = set(rng.sample(range(len(pool)), doomed))
+    return [t for i, t in enumerate(pool) if i not in dead]
+
+
+def reference_cull(pool, config, current_gen):
+    return [
+        t
+        for t in pool
+        if t.origin != CLONE or current_gen - t.last_improvement_gen < config.clone_lifespan
+    ]
+
+
+def state(t):
+    return (t.values, t.origin, t.best_sf, t.best_ml, t.last_improvement_gen)
+
+
 class TestMutate:
     config = PoolConfig(band_width=0.5, mutation_extend_prob=0.5)
 
     def test_extension_appends_banded_value_and_inherits_record(self):
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=1.0)
-        child = mutate(parent, config, random.Random(0), 3)
-        assert child.values[:2] == parent.values
-        assert len(child.values) == 3
-        assert child.origin == CLONE
-        assert child.best_sf == 2 and child.best_ml == 2
-        assert child.last_improvement_gen == 3
+        children = mutate(parent, config, random.Random(0), 3, 4)
+        assert len(children) == 4
+        for child in children:
+            assert child.values[:2] == parent.values
+            assert len(child.values) == 3
+            assert child.origin == CLONE
+            assert child.best_sf == 2 and child.best_ml == 2
+            assert child.last_improvement_gen == 3
 
     def test_shortening_resets_record(self):
         parent = make_tracker((1.0, 2.0, -0.5), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=0.0)
-        child = mutate(parent, config, random.Random(0), 3)
-        assert len(child.values) == 2
-        assert child.best_sf == 0 and child.best_ml == 0
+        children = mutate(parent, config, random.Random(0), 3, 3)
+        assert len(children) == 3
+        for child in children:
+            assert len(child.values) == 2
+            assert child.best_sf == 0 and child.best_ml == 0
 
     def test_shortening_prefers_positions_outside_match(self):
         parent = make_tracker((9.0, 1.0, 2.0, 9.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
         for seed in range(20):
-            child = mutate(parent, config, random.Random(seed), 1, ms_span=(1, 3))
-            # the matched window [1,2] always survives
-            assert child.values in {(1.0, 2.0, 9.0), (9.0, 1.0, 2.0)}
+            for child in mutate(parent, config, random.Random(seed), 1, 3, ms_span=(1, 3)):
+                # the matched window [1,2] always survives
+                assert child.values in {(1.0, 2.0, 9.0), (9.0, 1.0, 2.0)}
 
     def test_shortening_uniform_when_no_redundancy(self):
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
         seen = {
-            mutate(parent, config, random.Random(s), 1, ms_span=(0, 2)).values
+            child.values
             for s in range(30)
+            for child in mutate(parent, config, random.Random(s), 1, 2, ms_span=(0, 2))
         }
         assert seen == {(1.0,), (2.0,)}
 
     def test_length_one_parent_always_extends(self):
         parent = make_tracker((1.0,))
         config = PoolConfig(mutation_extend_prob=0.0)
-        child = mutate(parent, config, random.Random(0), 1)
-        assert len(child.values) == 2
+        children = mutate(parent, config, random.Random(0), 1, 3)
+        assert [len(child.values) for child in children] == [2, 2, 2]
 
     def test_shortening_disabled_always_extends(self):
         parent = make_tracker((1.0, 2.0, 3.0))
         config = PoolConfig(mutation_extend_prob=0.0, shortening_enabled=False)
         for seed in range(10):
-            child = mutate(parent, config, random.Random(seed), 1)
-            assert len(child.values) == 4
+            for child in mutate(parent, config, random.Random(seed), 1, 3):
+                assert len(child.values) == 4
 
     @given(
         length=st.integers(1, 6),
         seed=st.integers(0, 10_000),
         extend_prob=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        n=st.integers(1, 5),
     )
     @settings(max_examples=150)
-    def test_never_empty_and_length_changes_by_one(self, length, seed, extend_prob):
+    def test_never_empty_and_length_changes_by_one(self, length, seed, extend_prob, n):
         parent = make_tracker(tuple(float(i) for i in range(length)))
         config = PoolConfig(mutation_extend_prob=extend_prob)
-        child = mutate(parent, config, random.Random(seed), 1)
-        assert len(child.values) >= 1
-        assert abs(len(child.values) - length) == 1
+        children = mutate(parent, config, random.Random(seed), 1, n)
+        assert len(children) == n
+        for child in children:
+            assert len(child.values) >= 1
+            assert abs(len(child.values) - length) == 1
+
+    @given(
+        values=st.lists(st.sampled_from([-0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=7),
+        span=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7)).map(sorted).map(tuple),
+        record=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+        extend_prob=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+        shortening=st.booleans(),
+        width=st.sampled_from([0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=300)
+    def test_equals_one_reference_call_per_clone(
+        self, values, span, record, n, seed, extend_prob, shortening, width
+    ):
+        parent = make_tracker(values, best_sf=record[0], best_ml=record[1], gen=1)
+        config = PoolConfig(
+            band_width=width,
+            gaussian_mean=1.0,
+            mutation_extend_prob=extend_prob,
+            shortening_enabled=shortening,
+        )
+        rng, twin = random.Random(seed), random.Random(seed)
+        children = mutate(parent, config, rng, 4, n, span)
+        expected = [reference_mutate(parent, config, twin, 4, span) for _ in range(n)]
+        assert [state(c) for c in children] == [state(e) for e in expected]
+        assert rng.getstate() == twin.getstate()
+        # siblings extended by equal values share one tuple, and so do
+        # siblings shortened at one position
+        extended = {}
+        for child in children:
+            if len(child.values) > len(values):
+                assert extended.setdefault(child.values, child.values) is child.values
+        assert len({id(c.values) for c in children if len(c.values) < len(values)}) <= len(values)
 
 
 class TestRegulation:
@@ -214,6 +297,35 @@ class TestRegulation:
         memory = make_tracker((1.0,), origin=MEMORY_CLONE, gen=0)
         kept = cull_stale_clones([fresh, stale, naive, memory], config, current_gen=8)
         assert kept == [fresh, naive, memory]
+
+    @given(
+        n=st.integers(0, 80),
+        rate=st.sampled_from([0.0, 0.05, 0.1, 0.5, 0.9]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_apoptose_equals_reference(self, n, rate, seed):
+        pool = self.pool_of(n)
+        config = PoolConfig(apoptosis_rate=rate)
+        rng, twin = random.Random(seed), random.Random(seed)
+        survivors = apoptose(pool, config, rng)
+        expected = reference_apoptose(pool, config, twin)
+        assert [id(t) for t in survivors] == [id(t) for t in expected]
+        assert rng.getstate() == twin.getstate()
+
+    @given(
+        trackers=st.lists(
+            st.tuples(st.sampled_from([NAIVE, CLONE, MEMORY_CLONE]), st.integers(0, 30)),
+            max_size=40,
+        ),
+        current_gen=st.integers(0, 40),
+        lifespan=st.integers(1, 8),
+    )
+    def test_cull_equals_reference(self, trackers, current_gen, lifespan):
+        pool = [make_tracker((1.0,), origin=o, gen=g) for o, g in trackers]
+        config = PoolConfig(clone_lifespan=lifespan)
+        survivors = cull_stale_clones(pool, config, current_gen)
+        expected = reference_cull(pool, config, current_gen)
+        assert [id(t) for t in survivors] == [id(t) for t in expected]
 
     def test_homeostasis_tops_up_with_copies(self):
         config = PoolConfig(min_pool=20)

@@ -93,7 +93,16 @@ class TestDetectionTable:
 class TestFormatting:
     @pytest.mark.parametrize(
         "value,expected",
-        [(1.0, "1"), (-0.5, "-0.5"), (2.5, "2.5"), (0.0, "0"), (-2.0, "-2")],
+        [
+            (1.0, "1"),
+            (-0.5, "-0.5"),
+            (2.5, "2.5"),
+            (0.0, "0"),
+            (-2.0, "-2"),
+            (2.0**53 - 1, "9007199254740991"),
+            (-(2.0**53), "-9007199254740992.0"),
+            (1e308, "1e+308"),
+        ],
     )
     def test_format_value(self, value, expected):
         assert format_value(value) == expected
