@@ -60,13 +60,20 @@ def parse_antigen(text: str) -> Antigen:
     return Antigen(values, "custom")
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_prices(path) -> list[PricePoint]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"timestamp", "close"} - set(reader.fieldnames):
             raise ValueError(f"{path}: price CSV needs a 'timestamp,close' header")
         try:
-            return [PricePoint(float(r["timestamp"]), float(r["close"])) for r in reader]
+            return [PricePoint(_finite(r["timestamp"]), _finite(r["close"])) for r in reader]
         except (TypeError, ValueError) as exc:  # a short row's missing field is None
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
 

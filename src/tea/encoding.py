@@ -61,14 +61,18 @@ def band(delta: float, width: float) -> float:
     Zero stays zero; positive deltas go up to the next multiple,
     negative deltas down to the previous one, so the magnitude never
     shrinks: a $0.40 rise bands to $1, a -$0.30 move with width $0.5
-    bands to -$0.5.
+    bands to -$0.5.  A non-finite change, or one whose quotient by the
+    width overflows, raises EncodingError.
     """
     if not (math.isfinite(width) and width > 0):
         raise EncodingError(f"band width must be positive and finite, got {width}")
     if delta == 0:
         return 0.0
     q = abs(delta) / width
-    steps = math.ceil(q)
+    try:
+        steps = math.ceil(q)
+    except (OverflowError, ValueError):  # q is infinite or nan
+        raise EncodingError(f"price change {delta} has no band at width {width}") from None
     # round() absorbs float noise in the quotient so banding is
     # idempotent on its own outputs (e.g. widths like 0.1).  Rounding q
     # to 9 places moves its ceiling only when q lies just above an

@@ -18,9 +18,11 @@ Homeostasis copies and sibling clones share their values, so most
 trackers repeat a value tuple already in the pool.  Binding runs once
 per distinct value tuple in each generation (the presented prefix grows
 every generation), and every tracker with that tuple gets the same
-frozen MatchResult.  Observation likewise tests each distinct tuple
-against the true trends once per run.  Neither draws random numbers,
-so sharing their results leaves the draw order unchanged.
+frozen MatchResult; when that match is no trend match, the trackers
+skip the proliferation check, which it could never pass.  Observation
+likewise tests each distinct tuple against the true trends once per
+run.  Neither draws random numbers, so sharing their results leaves
+the draw order unchanged.
 """
 
 from __future__ import annotations
@@ -181,14 +183,16 @@ def run_generation(
     """
     if presented is not None:
         clones = []
-        matches = {}  # one bind per distinct value tuple against this prefix
+        # one bind per distinct value tuple against this prefix; a bind
+        # that is no trend match is kept as False, since no tracker
+        # carrying it can pass proliferation_check
+        matches = {}
         for tracker in pool:
             match = matches.get(tracker.values)
             if match is None:
-                match = matches[tracker.values] = longest_match(
-                    tracker.values, presented, config.bind_threshold
-                )
-            if not proliferation_check(tracker, match):
+                match = longest_match(tracker.values, presented, config.bind_threshold)
+                match = matches[tracker.values] = match.is_trend_match and match
+            if not (match and proliferation_check(tracker, match)):
                 continue
             record_improvement(tracker, match, gen)
             n_clones = clone_count(match, config)

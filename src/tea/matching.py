@@ -7,6 +7,12 @@ match sequence MS; its occurrence count in the antigen is the
 stimulation factor SF and its length the match length ML.  Tracker
 values outside the MS are redundancy.
 
+Exact binding reads cached tables of the antigen's windows, one per
+window length, each mapping a window to its count and first start.  A
+tracker window can match only where its one-shorter prefix did, so the
+tracker's matching starts grow one length at a time until none is left.
+A loose threshold (bind_threshold > 0) binds by an n x m alignment DP.
+
 The oracle lists every trend of an antigen: each contiguous window of
 length >= 2 that occurs at least twice (overlapping occurrences count).
 It counts windows one length at a time.  A window can repeat only where
@@ -17,8 +23,10 @@ no repeat.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .encoding import Antigen, CategorySeq
 
@@ -75,7 +83,44 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     avals = _values(antigen)
     if not tvals:
         raise MatchingError("tracker must be non-empty")
+    if bind_threshold:
+        return _longest_match_dp(tvals, avals, bind_threshold)
 
+    length, table, starts = 0, None, range(len(tvals))
+    while length < len(tvals):
+        longer = _windows(avals, length + 1)
+        kept = [i for i in starts if tvals[i : i + length + 1] in longer]
+        if not kept:
+            break
+        length, table, starts = length + 1, longer, kept
+    if not length:
+        return MatchResult(ms=(), sf=0, ml=0, redundancy=len(tvals))
+    ts = min(starts, key=lambda i: (-table[tvals[i : i + length]][0], i))
+    sf, first = table[tvals[ts : ts + length]]
+    # the MS is read from the antigen, so it keeps the antigen's -0.0 or int
+    return MatchResult(
+        ms=avals[first : first + length], sf=sf, ml=length,
+        redundancy=len(tvals) - length, tracker_start=ts,
+    )
+
+
+@lru_cache(maxsize=128)
+def _windows(avals: CategorySeq, length: int) -> dict[CategorySeq, tuple[int, int]]:
+    """The antigen's windows of one length, each mapped to (count, first start).
+
+    Windows holding a non-finite value are left out: abs(t - a) <= 0
+    never holds for nan or an infinity, but tuple equality can.
+    """
+    starts = range(len(avals) - length + 1)
+    if not all(map(math.isfinite, avals)):
+        starts = [j for j in starts if all(map(math.isfinite, avals[j : j + length]))]
+    windows = [avals[j : j + length] for j in starts]
+    first = dict(zip(reversed(windows), reversed(starts)))  # the leftmost start wins
+    return {w: (n, first[w]) for w, n in Counter(windows).items()}
+
+
+def _longest_match_dp(tvals: CategorySeq, avals: CategorySeq, bind_threshold: float) -> MatchResult:
+    """longest_match by an n x m alignment DP, for any bind threshold."""
     # run[j] = length of the aligned run ending at (i, j)
     n, m = len(tvals), len(avals)
     best_len = 0

@@ -244,6 +244,10 @@ class TestDetect:
             (None, "No such file"),
             ("time,price\n0,10\n1,11\n2,12\n", "'timestamp,close' header"),
             ("timestamp,close\n0,10\n1,11\n", "at least 3 price rows"),
+            ("timestamp,close\n0,10\n1,inf\n2,12\n", "line 3: non-finite value 'inf'"),
+            ("timestamp,close\n0,10\n1,nan\n2,12\n", "line 3: non-finite value 'nan'"),
+            ("timestamp,close\n0,10\nnan,11\n2,12\n", "line 3: non-finite value 'nan'"),
+            ("timestamp,close\n0,1e308\n1,-1e308\n2,1e308\n", "price change -inf has no band"),
         ],
     )
     def test_bad_csv_is_an_error_line(self, tmp_path, capsys, text, message):

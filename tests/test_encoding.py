@@ -56,6 +56,15 @@ class TestBand:
             with pytest.raises(EncodingError, match="positive and finite"):
                 band(1.0, width)
 
+    @pytest.mark.parametrize(
+        "delta,width",
+        [(math.inf, 1.0), (-math.inf, 0.5), (math.nan, 1.0), (1e308, 0.5)],
+    )
+    def test_rejects_delta_with_no_band(self, delta, width):
+        # the last quotient overflows to inf though the delta is finite
+        with pytest.raises(EncodingError, match="has no band"):
+            band(delta, width)
+
     def test_tolerates_float_noise_in_quotient(self):
         # 0.3 / 0.1 is 2.9999... in floats; the quotient must not round up
         assert band(0.3, 0.1) == 0.3

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from tea import engine
 from tea.encoding import Antigen
 from tea.engine import (
     ANTIGEN_A,
@@ -144,6 +145,19 @@ class TestRunExperiment:
         # by generation 50 the burst has died back to (near) the floor
         stats = run_experiment(self.spec, FAST, seed=2)
         assert stats.records[-1].pool_size <= 2 * FAST.min_pool
+
+    def test_only_trend_matches_reach_the_proliferation_check(self, monkeypatch):
+        # a tuple whose bind is no trend match skips the check: it could not pass
+        seen = []
+        check = engine.proliferation_check
+
+        def counted(tracker, match):
+            seen.append(match.is_trend_match)
+            return check(tracker, match)
+
+        monkeypatch.setattr(engine, "proliferation_check", counted)
+        run_experiment(preset_spec("exp3"), preset_config(), seed=0)
+        assert seen and all(seen)
 
     @pytest.mark.parametrize(
         "preset,seed,created",

@@ -1,18 +1,22 @@
 """Binding, match selection, and the repeated-trend oracle."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tea.encoding import Antigen
+from tea.encoding import Antigen, band
 from tea.engine import ANTIGEN_A, ANTIGEN_A1, ANTIGEN_A2
 from tea.matching import (
     MatchingError,
+    _longest_match_dp,
+    _windows,
     count_occurrences,
     enumerate_trends,
     longest_match,
 )
+from tea.population import PoolConfig, random_tracker
 
 T1 = (1.0, 2.0)
 T2 = (1.0, 2.0, 1.0)
@@ -173,6 +177,87 @@ class TestBruteForceEquivalence:
         assert (got.ms, got.sf, got.ml, got.redundancy) == brute_force_match(
             tracker, antigen, threshold
         )
+
+
+# 0.0/-0.0 and 1/1.0 are equal but print differently; nan and the
+# infinities never bind, though tuple equality can match them
+EXACT_ALPHABET = [0.0, -0.0, 1, 1.0, 2.0, -0.5, math.nan, math.inf, -math.inf]
+
+
+def assert_same_match(got, ref):
+    # repr also tells -0.0 from 0.0 and 1 from 1.0, which == does not
+    assert got == ref and repr(got) == repr(ref)
+
+
+class TestExactBinding:
+    """Exact binding from window tables against the alignment DP."""
+
+    @settings(max_examples=500)
+    @given(
+        tracker=st.lists(st.sampled_from(EXACT_ALPHABET), min_size=1, max_size=8),
+        antigen=st.lists(st.sampled_from(EXACT_ALPHABET), max_size=40),
+    )
+    def test_equals_dp(self, tracker, antigen):
+        tracker, antigen = tuple(tracker), tuple(antigen)
+        assert_same_match(longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0))
+
+    def test_equals_dp_on_banded_walk(self):
+        # the benchmark's shape: random trackers and stretches of the
+        # walk itself, some with one value changed, on 300 banded changes
+        rng = random.Random(0)
+        closes = [100.0]
+        for _ in range(300):
+            closes.append(closes[-1] + rng.gauss(0.0, 1.0))
+        antigen = tuple(band(b - a, 0.5) for a, b in zip(closes, closes[1:]))
+        config = PoolConfig(band_width=0.5)
+        trackers = [random_tracker(config, rng).values for _ in range(200)]
+        for _ in range(100):
+            start = rng.randrange(len(antigen) - 8)
+            stretch = list(antigen[start : start + rng.randint(1, 8)])
+            stretch[rng.randrange(len(stretch))] += rng.choice([0.0, 0.5])
+            trackers.append(tuple(stretch))
+        for tracker in trackers:
+            assert_same_match(
+                longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0)
+            )
+
+    def test_list_tuple_and_antigen_agree(self):
+        results = {
+            repr(longest_match(tracker, antigen))
+            for tracker in (list(T7), T7, Antigen(T7))
+            for antigen in (list(ANTIGEN_A.seq), ANTIGEN_A.seq, ANTIGEN_A)
+        }
+        assert results == {repr(_longest_match_dp(T7, ANTIGEN_A.seq, 0.0))}
+
+    def test_antigens_differing_in_one_value_keep_their_own_tables(self):
+        a = (1.0, 2.0, 1.0, 2.0, 3.0)
+        b = (1.0, 2.0, 1.0, 2.5, 3.0)
+        assert _windows(a, 2) != _windows(b, 2)
+        for _ in range(2):  # the second pass binds from cached tables
+            assert longest_match((1.0, 2.0), a).sf == 2
+            assert longest_match((1.0, 2.0), b).sf == 1
+            assert longest_match((2.0, 3.0), a).ml == 2
+            assert longest_match((2.0, 3.0), b).ml == 1
+            for tracker in ((1.0, 2.0, 1.0, 2.0), (2.5, 3.0), (1.0, 2.0, 1.0, 2.5)):
+                for antigen in (a, b):
+                    assert_same_match(
+                        longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0)
+                    )
+
+    def test_equal_antigens_share_tables_but_not_their_ms(self):
+        # (0.0, 1.0) == (-0.0, 1.0), so both read one cached table; the MS
+        # still comes from the antigen that was bound
+        assert longest_match((0.0, 1.0), (0.0, 1.0)).ms[0] == 0.0
+        assert math.copysign(1.0, longest_match((0.0, 1.0), (-0.0, 1.0)).ms[0]) == -1.0
+        assert math.copysign(1.0, longest_match((0.0, 1.0), (0.0, 1.0)).ms[0]) == 1.0
+        assert type(longest_match((1.0, 2.0), (1, 2.0)).ms[0]) is int
+
+    def test_table_cache_is_bounded(self):
+        maxsize = _windows.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1024
+        for k in range(maxsize + 10):
+            longest_match((1.0, 2.0), (float(k), 1.0, 2.0))
+        assert _windows.cache_info().currsize <= maxsize
 
 
 class TestEnumerateTrends:
