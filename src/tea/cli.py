@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -170,8 +171,12 @@ def cmd_detect(args):
     antigen = encode(read_prices(args.input), args.band_width, label=Path(args.input).stem)
     if len(antigen) < 2:
         raise ValueError("need at least 3 price rows to look for trends")
-    base = PoolConfig(band_width=args.band_width)
-    config = _config_from_args(args, base)
+    config = _config_from_args(args, PoolConfig(band_width=args.band_width))
+    if config.band_width != args.band_width:
+        # the antigen is banded at --band-width; trackers must band on the same grid
+        raise ValueError(
+            f"config band_width {config.band_width:g} differs from --band-width {args.band_width:g}"
+        )
     total = max(args.generations, len(antigen))
     spec = ExperimentSpec(
         phases=[PresentationPhase(1, antigen)],
@@ -230,14 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.show_config:
-        print("\n".join(config_lines(PoolConfig())))
-        return 0
-    if args.command is None:
+    if args.command is None and not args.show_config:
         parser.print_help()
         return 2
     try:
-        args.func(args)
+        if args.show_config:
+            print("\n".join(config_lines(PoolConfig())))
+        else:
+            args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`tea ... | head`): send what is left to
+        # devnull, so the flush at exit cannot fail again, and exit 1 as
+        # Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,11 +15,14 @@ per-run seeded stream consumed in that order, so a (spec, config, seed)
 triple is fully reproducible.
 
 Homeostasis copies and sibling clones share their values, so most
-trackers repeat a value tuple already in the pool.  Binding runs once
-per distinct value tuple in each generation (the presented prefix grows
-every generation), and every tracker with that tuple gets the same
-frozen MatchResult; when that match is no trend match, the trackers
-skip the proliferation check, which it could never pass.  Observation
+trackers repeat a value tuple already in the pool.  Binding runs at
+most once per distinct value tuple in each generation, and every
+tracker with that tuple gets the same frozen MatchResult; when that
+match is no trend match, the trackers skip the proliferation check,
+which it could never pass.  Within a phase a tuple keeps its last match
+unless one of its values lies within the bind threshold of the value the
+prefix just gained: every new window ends in that value, so none can
+bind the tuple, tie with its match or add to its SF.  Observation
 likewise tests each distinct tuple against the true trends once per
 run.  Neither draws random numbers, so sharing their results leaves
 the draw order unchanged.
@@ -169,6 +172,7 @@ def run_generation(
     pool: list[Tracker],
     memory: MemoryPool,
     presented: CategorySeq | None,
+    matches: dict,
     config: PoolConfig,
     rng: random.Random,
     gen: int,
@@ -176,6 +180,9 @@ def run_generation(
 ) -> list[Tracker]:
     """One generation: bind/proliferate (if presenting), then regulate.
 
+    matches maps a value tuple to its bind against the previous prefix
+    of this phase (empty at the phase's first generation); a presenting
+    generation replaces its contents with the binds of its own pool.
     Raises PoolLimitError, before making its clones, as soon as a
     proliferation event would take the pool past MAX_POOL.  Every
     tracker born here (clones, homeostasis copies, a re-seed) is added
@@ -183,15 +190,21 @@ def run_generation(
     """
     if presented is not None:
         clones = []
-        # one bind per distinct value tuple against this prefix; a bind
-        # that is no trend match is kept as False, since no tracker
-        # carrying it can pass proliferation_check
-        matches = {}
+        # one bind per distinct value tuple, unless its last one carries
+        # over; a bind that is no trend match is kept as False, since no
+        # tracker carrying it can pass proliferation_check
+        carried = matches.copy()
+        matches.clear()
+        new, threshold = presented[-1], config.bind_threshold
         for tracker in pool:
-            match = matches.get(tracker.values)
+            values = tracker.values
+            match = matches.get(values)
             if match is None:
-                match = longest_match(tracker.values, presented, config.bind_threshold)
-                match = matches[tracker.values] = match.is_trend_match and match
+                match = carried.get(values)
+                if match is None or any(abs(v - new) <= threshold for v in values):
+                    match = longest_match(values, presented, threshold)
+                    match = match.is_trend_match and match
+                matches[values] = match
             if not (match and proliferation_check(tracker, match)):
                 continue
             record_improvement(tracker, match, gen)
@@ -223,19 +236,21 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
     memory = MemoryPool()
     stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
     contains = {}  # value tuple -> trends of spec.truth it contains, for the whole run
+    matches = {}  # value tuple -> its bind against the last prefix, for one phase
 
     for gen in range(1, spec.total_generations + 1):
         phase = spec.phase_at(gen)
         presented = None
         if phase is not None:
             if gen == phase.start_gen:
+                matches = {}
                 if phase.pool_action_at_start == POOL_ACTION_RESET:
                     pool = [replace(t) for t in initial_snapshot]
                 elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
                     pool = memory.feedback_clones(config, rng)
                     stats.total_created += len(pool)
             presented = phase.presented(gen)
-        pool = run_generation(pool, memory, presented, config, rng, gen, stats)
+        pool = run_generation(pool, memory, presented, matches, config, rng, gen, stats)
         matching = _matching_counts(pool, spec.truth, contains)
         stats.records.append(GenRecord(gen, len(pool), matching))
     return stats

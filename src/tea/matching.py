@@ -7,11 +7,15 @@ match sequence MS; its occurrence count in the antigen is the
 stimulation factor SF and its length the match length ML.  Tracker
 values outside the MS are redundancy.
 
-Exact binding reads cached tables of the antigen's windows, one per
-window length, each mapping a window to its count and first start.  A
-tracker window can match only where its one-shorter prefix did, so the
+Exact binding reads tables of the antigen's windows, one per window
+length, each mapping a window to its count and first start.  A tracker
+window can match only where its one-shorter prefix did, so the
 tracker's matching starts grow one length at a time until none is left.
-A loose threshold (bind_threshold > 0) binds by an n x m alignment DP.
+Only the antigen object bound last keeps its tables, so binding many
+trackers to one antigen builds each table once and never hashes the
+antigen; any other object, an equal tuple or a list included, starts
+afresh.  A loose threshold (bind_threshold > 0) binds by an n x m
+alignment DP.
 
 The oracle lists every trend of an antigen: each contiguous window of
 length >= 2 that occurs at least twice (overlapping occurrences count).
@@ -26,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .encoding import Antigen, CategorySeq
 
@@ -71,6 +74,11 @@ def count_occurrences(pattern: CategorySeq, antigen) -> int:
     return sum(1 for i in range(len(seq) - m + 1) if seq[i : i + m] == pattern)
 
 
+# The antigen bound last and its window tables by length.  Holding the
+# antigen itself keeps `is` from matching a new object at a reused id.
+_held: tuple[CategorySeq | None, dict[int, dict]] = (None, {})
+
+
 def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     """Bind a tracker to an antigen and report the optimal match sequence.
 
@@ -86,9 +94,16 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     if bind_threshold:
         return _longest_match_dp(tvals, avals, bind_threshold)
 
+    global _held
+    held, tables = _held
+    if avals is not held:
+        tables = {}
+        _held = (avals, tables)
     length, table, starts = 0, None, range(len(tvals))
     while length < len(tvals):
-        longer = _windows(avals, length + 1)
+        longer = tables.get(length + 1)
+        if longer is None:
+            longer = tables[length + 1] = _windows(avals, length + 1)
         kept = [i for i in starts if tvals[i : i + length + 1] in longer]
         if not kept:
             break
@@ -104,7 +119,6 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     )
 
 
-@lru_cache(maxsize=128)
 def _windows(avals: CategorySeq, length: int) -> dict[CategorySeq, tuple[int, int]]:
     """The antigen's windows of one length, each mapped to (count, first start).
 

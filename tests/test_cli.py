@@ -1,10 +1,15 @@
 """Command line interface, including byte-identical reruns."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tea.cli
 import tea.engine
 from tea.cli import main, parse_antigen, read_prices
 
@@ -230,6 +235,19 @@ class TestDetect:
         assert "generation 90: the pool would grow to 5,002 trackers" in errors[0]
         assert "past the limit of 5,000" in errors[0]
 
+    def test_config_band_width_must_match_the_flag(self, tmp_path, capsys):
+        # the antigen is banded at --band-width, so trackers may not band on another grid
+        csv_path = tmp_path / "prices.csv"
+        self.write_prices(csv_path)
+        cfg = tmp_path / "quarter.cfg"
+        cfg.write_text("band_width = 0.25\n")
+        argv = ["detect", "--input", str(csv_path), "--band-width", "1", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "band_width 0.25" in captured.err and "--band-width 1" in captured.err
+        assert captured.out == ""
+
     def test_rejects_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,price\n0,10\n1,11\n")
@@ -264,6 +282,23 @@ class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_quietly(self):
+        # like `tea oracle ... | head -1`: the reader closes the pipe after one
+        # line, while about 600 kB of trends, far more than a pipe holds, wait
+        row = ",".join(str(i % 7 + 1) for i in range(300))
+        src = Path(tea.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tea.cli", "oracle", row],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"[1,2]  x43\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,7 @@
 """Experiment schedules, the generation loop, and run reproducibility."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,16 +15,20 @@ from tea.engine import (
     POOL_ACTION_FEEDBACK,
     POOL_ACTION_RESET,
     ExperimentSpec,
+    GenRecord,
     PresentationPhase,
+    RunStats,
     SpecError,
     _matching_counts,
     preset_config,
     preset_spec,
     run_batch,
     run_experiment,
+    run_generation,
 )
 from tea.matching import count_occurrences, enumerate_trends
-from tea.population import PoolConfig, Tracker
+from tea.memory import MemoryPool
+from tea.population import PoolConfig, Tracker, init_pool
 
 # Small and fast: enough signal for structural checks without the
 # calibrated preset's population growth.
@@ -175,6 +180,70 @@ class TestRunExperiment:
         # exp3 seed 2 empties its pool and re-seeds it
         stats = run_experiment(preset_spec(preset), preset_config(), seed)
         assert stats.total_created == created
+
+
+def run_binding_afresh(spec, config, seed):
+    """run_experiment with an empty bind memo in every generation.
+
+    Returns the stats and the run's random stream.
+    """
+    rng = random.Random(seed)
+    pool = init_pool(config, rng)
+    initial_snapshot = [dataclasses.replace(t) for t in pool]
+    memory = MemoryPool()
+    stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
+    contains = {}
+    for gen in range(1, spec.total_generations + 1):
+        phase = spec.phase_at(gen)
+        presented = None
+        if phase is not None:
+            if gen == phase.start_gen:
+                if phase.pool_action_at_start == POOL_ACTION_RESET:
+                    pool = [dataclasses.replace(t) for t in initial_snapshot]
+                elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
+                    pool = memory.feedback_clones(config, rng)
+                    stats.total_created += len(pool)
+            presented = phase.presented(gen)
+        pool = run_generation(pool, memory, presented, {}, config, rng, gen, stats)
+        stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, spec.truth, contains)))
+    return stats, rng
+
+
+# the second phase follows the first at once and opens on -0.5, a value no
+# trend of A1 holds, so a bind carried over from the first phase would be wrong
+BACK_TO_BACK = ExperimentSpec(
+    phases=[PresentationPhase(1, ANTIGEN_A1), PresentationPhase(11, Antigen(ANTIGEN_A2.seq[3:]))]
+)
+
+
+class TestCarriedBinds:
+    @pytest.mark.parametrize("preset", ["exp1", "exp2", "exp3", "back-to-back"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            preset_config(),
+            # a loose threshold binds by the DP; one clone per event keeps the pool small
+            dataclasses.replace(preset_config(), bind_threshold=0.5, clone_factor=1),
+        ],
+        ids=["exact", "threshold-0.5"],
+    )
+    def test_equal_to_binding_every_generation_afresh(self, monkeypatch, preset, config):
+        rngs = []
+
+        def init_and_keep_rng(config, rng):
+            rngs.append(rng)
+            return init_pool(config, rng)
+
+        monkeypatch.setattr(engine, "init_pool", init_and_keep_rng)
+        spec = BACK_TO_BACK if preset == "back-to-back" else preset_spec(preset)
+        for seed in (0, 2):  # exp3 seed 2 empties its pool and re-seeds it
+            got = run_experiment(spec, config, seed)
+            expected, rng = run_binding_afresh(spec, config, seed)
+            assert got.records == expected.records
+            assert got.memory_events == expected.memory_events
+            assert got.final_memory.to_rows() == expected.final_memory.to_rows()
+            assert got.total_created == expected.total_created
+            assert rngs.pop().getstate() == rng.getstate()
 
 
 value_tuples = st.lists(st.sampled_from([-0.5, 1.0, 2.0]), min_size=1, max_size=6).map(tuple)

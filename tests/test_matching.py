@@ -4,8 +4,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from tea import matching
 from tea.encoding import Antigen, band
 from tea.engine import ANTIGEN_A, ANTIGEN_A1, ANTIGEN_A2
 from tea.matching import (
@@ -230,34 +231,63 @@ class TestExactBinding:
         assert results == {repr(_longest_match_dp(T7, ANTIGEN_A.seq, 0.0))}
 
     def test_antigens_differing_in_one_value_keep_their_own_tables(self):
-        a = (1.0, 2.0, 1.0, 2.0, 3.0)
-        b = (1.0, 2.0, 1.0, 2.5, 3.0)
+        a = (0.0, 2.0, 0.0, 2.0, 3.0)
+        b = (0.0, 2.0, 0.0, 2.5, 3.0)
         assert _windows(a, 2) != _windows(b, 2)
-        for _ in range(2):  # the second pass binds from cached tables
-            assert longest_match((1.0, 2.0), a).sf == 2
-            assert longest_match((1.0, 2.0), b).sf == 1
+        # equal to a but another object, whose MS must show its -0.0
+        negative = tuple([-0.0, 2.0, -0.0, 2.0, 3.0])
+        assert negative == a and negative is not a
+        for _ in range(2):  # the second pass comes back to antigens bound before
+            assert longest_match((0.0, 2.0), a).sf == 2
+            assert longest_match((0.0, 2.0), b).sf == 1
             assert longest_match((2.0, 3.0), a).ml == 2
             assert longest_match((2.0, 3.0), b).ml == 1
-            for tracker in ((1.0, 2.0, 1.0, 2.0), (2.5, 3.0), (1.0, 2.0, 1.0, 2.5)):
-                for antigen in (a, b):
+            for antigen in (a, b, a, negative, a, list(b), b):
+                for tracker in (
+                    (0.0, 2.0, 0.0, 2.0), (2.5, 3.0), (0.0, 2.0, 0.0, 2.5), (0.0, 2.0), (2.0, 3.0)
+                ):
                     assert_same_match(
-                        longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0)
+                        longest_match(tracker, antigen),
+                        _longest_match_dp(tracker, tuple(antigen), 0.0),
                     )
 
     def test_equal_antigens_share_tables_but_not_their_ms(self):
-        # (0.0, 1.0) == (-0.0, 1.0), so both read one cached table; the MS
-        # still comes from the antigen that was bound
+        # (0.0, 1.0) == (-0.0, 1.0); the MS still comes from the antigen
+        # being bound, not from one whose tables were built before
         assert longest_match((0.0, 1.0), (0.0, 1.0)).ms[0] == 0.0
         assert math.copysign(1.0, longest_match((0.0, 1.0), (-0.0, 1.0)).ms[0]) == -1.0
         assert math.copysign(1.0, longest_match((0.0, 1.0), (0.0, 1.0)).ms[0]) == 1.0
         assert type(longest_match((1.0, 2.0), (1, 2.0)).ms[0]) is int
 
     def test_table_cache_is_bounded(self):
-        maxsize = _windows.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 1024
-        for k in range(maxsize + 10):
-            longest_match((1.0, 2.0), (float(k), 1.0, 2.0))
-        assert _windows.cache_info().currsize <= maxsize
+        # only the antigen object bound last keeps its tables
+        for k in range(10):
+            antigen = (float(k), 1.0, 2.0)
+            longest_match((1.0, 2.0), antigen)
+            longest_match((1.0, 2.0, 1.0), antigen)
+            held, tables = matching._held
+            assert held is antigen and sorted(tables) == [1, 2, 3]
+        copy = tuple(list(antigen))
+        longest_match((1.0,), copy)
+        held, tables = matching._held
+        assert held is copy and sorted(tables) == [1]
+        longest_match((1.0,), list(copy))  # a list binds as a new tuple
+        assert matching._held[0] is not copy
+
+    @settings(max_examples=500)
+    @given(
+        tracker=st.lists(st.sampled_from(EXACT_ALPHABET), min_size=1, max_size=8),
+        prefix=st.lists(st.sampled_from(EXACT_ALPHABET), max_size=30).map(tuple),
+        new=st.sampled_from(EXACT_ALPHABET),
+        threshold=st.sampled_from([0.0, 0.5]),
+    )
+    def test_a_value_out_of_reach_leaves_the_match(self, tracker, prefix, new, threshold):
+        # the engine carries a bind to the next prefix on this lemma
+        tracker = tuple(t for t in tracker if not abs(t - new) <= threshold)
+        assume(tracker)
+        assert repr(longest_match(tracker, prefix + (new,), threshold)) == repr(
+            longest_match(tracker, prefix, threshold)
+        )
 
 
 class TestEnumerateTrends:
