@@ -56,8 +56,6 @@ def parse_antigen(text: str) -> Antigen:
             f"{text!r} is neither a named antigen ({', '.join(FIXTURES)}) "
             "nor a comma-separated value row"
         ) from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"antigen row {text!r} has a non-finite value")
     return Antigen(values, "custom")
 
 
@@ -69,7 +67,7 @@ def _finite(text) -> float:
 
 
 def read_prices(path) -> list[PricePoint]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel's BOM is not a column
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or {"timestamp", "close"} - set(reader.fieldnames):
             raise ValueError(f"{path}: price CSV needs a 'timestamp,close' header")
@@ -107,9 +105,7 @@ def _emit_batch(runs, truth, out_dir):
             indent=2,
         )
         fh.write("\n")
-    series = population_series(runs)
-    if series:
-        _write_csv(out / "population.csv", series)
+    _write_csv(out / "population.csv", population_series(runs))
     for run in runs:
         lines = run.final_memory.to_rows()
         (out / f"memory_seed{run.seed}.txt").write_text(
@@ -119,9 +115,7 @@ def _emit_batch(runs, truth, out_dir):
 
 
 def _config_from_args(args, base: PoolConfig) -> PoolConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config, base=base)
-    return base
+    return load_config(args.config, base) if args.config else base
 
 
 def cmd_oracle(args):
@@ -142,24 +136,14 @@ def cmd_random_search(args):
     antigen = parse_antigen(args.antigen)
     config = _config_from_args(args, preset_config())
     truth = trend_order(enumerate_trends(antigen))
-    header = f"{'pop size':>10}  " + "  ".join(f"{format_seq(t):^12}" for t in truth) + "  total"
-    print(header)
+    names = [format_seq(t) for t in truth]
+    print(f"{'pop size':>10}  " + "  ".join(f"{n:^12}" for n in names) + "  total")
     rows = []
     for size in args.population_size:
         result = random_search(antigen, size, config, random.Random(args.seed))
-        marks = ["x" if t in result.detected else "." for t in truth]
-        print(
-            f"{size:>10}  "
-            + "  ".join(f"{m:^12}" for m in marks)
-            + f"  {len(result.detected & frozenset(truth))}"
-        )
-        rows.append(
-            {
-                "population_size": size,
-                **{format_seq(t): int(t in result.detected) for t in truth},
-                "total": len(result.detected & frozenset(truth)),
-            }
-        )
+        marks = [int(t in result.detected) for t in truth]
+        print(f"{size:>10}  " + "  ".join(f"{'.x'[m]:^12}" for m in marks) + f"  {sum(marks)}")
+        rows.append({"population_size": size, **dict(zip(names, marks)), "total": sum(marks)})
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -195,38 +179,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-config", action="store_true", help="print every pool default and exit"
     )
     sub = parser.add_subparsers(dest="command")
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--seed", type=int, default=0)
+    batch.add_argument("--config", help="flat key=value pool config overrides")
+    batch.add_argument("--out", help="directory for CSV/JSON output")
 
     p = sub.add_parser("oracle", help="enumerate the exact repeated trends of an antigen")
     p.add_argument("antigen", help="A, A1, A2 or a comma-separated banded row")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("run", help="run a built-in experiment preset")
+    p = sub.add_parser("run", parents=[batch], help="run a built-in experiment preset")
     p.add_argument("--preset", required=True, choices=["exp1", "exp2", "exp3"])
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="flat key=value pool config overrides")
-    p.add_argument("--out", help="directory for CSV/JSON output")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("random-search", help="random population baseline")
+    p = sub.add_parser("random-search", parents=[batch], help="random population baseline")
     p.add_argument(
         "--population-size", type=int, action="append", required=True, metavar="K",
         help="repeatable; one result row per size",
     )
     p.add_argument("--antigen", default="A")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_random_search)
 
-    p = sub.add_parser("detect", help="encode a price CSV and detect its trends")
+    p = sub.add_parser("detect", parents=[batch], help="encode a price CSV and detect its trends")
     p.add_argument("--input", required=True, help="CSV with a timestamp,close header")
     p.add_argument("--band-width", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generations", type=int, default=50)
-    p.add_argument("--config")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_detect)
 
     return parser

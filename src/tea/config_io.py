@@ -48,15 +48,10 @@ def parse_overrides(text: str) -> dict:
     return overrides
 
 
-def load_config(path, base: PoolConfig | None = None) -> PoolConfig:
-    """PoolConfig from a file, on top of `base` (or the defaults)."""
+def load_config(path, base: PoolConfig) -> PoolConfig:
+    """`base` with the overrides of a config file, checked again by PoolConfig."""
     with open(path) as fh:
-        overrides = parse_overrides(fh.read())
-    fields = {}
-    if base is not None:
-        fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(PoolConfig)}
-    fields.update(overrides)
-    return PoolConfig(**fields)
+        return dataclasses.replace(base, **parse_overrides(fh.read()))
 
 
 def config_lines(config: PoolConfig) -> list[str]:

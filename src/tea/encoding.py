@@ -34,6 +34,9 @@ class Antigen:
 
     def __post_init__(self):
         object.__setattr__(self, "seq", tuple(self.seq))
+        bad = [v for v in self.seq if not math.isfinite(v)]
+        if bad:  # no tracker could ever bind a trend holding such a value
+            raise EncodingError(f"antigen {self.label!r} has a non-finite value {bad[0]}")
 
     def __len__(self):
         return len(self.seq)

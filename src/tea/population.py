@@ -81,8 +81,8 @@ class PoolConfig:
             raise ConfigError("apoptosis_rate must be in [0,1)")
         if self.clone_lifespan < 1:
             raise ConfigError("clone_lifespan must be >= 1")
-        if not self.bind_threshold >= 0:
-            raise ConfigError("bind_threshold must be >= 0")
+        if not (math.isfinite(self.bind_threshold) and self.bind_threshold >= 0):
+            raise ConfigError("bind_threshold must be non-negative and finite")
 
 
 @dataclass(slots=True)

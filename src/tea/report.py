@@ -108,16 +108,15 @@ def format_seq(seq) -> str:
 
 
 def render_detection_table(table: DetectionTable) -> str:
+    """The rows of detection_table_rows as text, the totals row labelled `total`."""
+    rows = detection_table_rows(table)
+    rows[-1]["trend"] = "total"
     lines = [f"{'trend':<22}{'detected':>10}{'redundant':>11}"]
-    for trend in table.trends:
+    for row in rows:
         lines.append(
-            f"{format_seq(trend):<22}{table.detections[trend]:>7}/{table.n_runs:<3}"
-            f"{table.redundant[trend]:>10}"
+            f"{row['trend']:<22}{row['detections']:>7}/{row['runs']:<3}"
+            f"{row['redundant_values']:>10}"
         )
-    lines.append(
-        f"{'total':<22}{table.total_detected:>7}/{len(table.trends) * table.n_runs:<3}"
-        f"{table.total_redundant:>10}"
-    )
     lines.append(f"detection rate:    {100 * table.detection_rate:.1f}%")
     lines.append(f"inefficiency rate: {100 * table.inefficiency_rate:.1f}%")
     return "\n".join(lines)

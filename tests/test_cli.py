@@ -114,6 +114,36 @@ class TestRun:
         assert payload["n_runs"] == 2
         assert "detection rate" in capsys.readouterr().out
 
+    def test_stdout_table_is_pinned(self, fast_config, capsys):
+        argv = ["run", "--preset", "exp1", "--runs", "2", "--seed", "0", "--config", fast_config]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "preset exp1: 2 runs, seeds 0..1\n"
+            "trend                   detected  redundant\n"
+            "[1,2]                       2/2           0\n"
+            "[2,-0.5]                    0/2           0\n"
+            "[2,1]                       2/2           0\n"
+            "[1,2,-0.5]                  0/2           0\n"
+            "[1,2,1]                     2/2           0\n"
+            "[2,1,2]                     2/2           1\n"
+            "[2,1,2,-0.5]                0/2           0\n"
+            "total                       8/14          1\n"
+            "detection rate:    57.1%\n"
+            "inefficiency rate: 4.8%\n"
+        )
+
+    def test_pool_limit_under_a_loose_threshold(self, tmp_path, capsys, monkeypatch):
+        # exp3's preset config with bind_threshold = 0.5 grows its pool without
+        # bound; with the limit patched down it stops in generation 13
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text("bind_threshold = 0.5\n")
+        monkeypatch.setattr(tea.engine, "MAX_POOL", 150_000)
+        argv = ["run", "--preset", "exp3", "--runs", "1", "--config", str(cfg)]
+        assert main(argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: generation 13: the pool would grow to ")
+        assert "past the limit of 150,000" in last
+
     def test_reruns_are_byte_identical(self, tmp_path, fast_config):
         dirs = [tmp_path / "first", tmp_path / "second"]
         for d in dirs:
@@ -162,6 +192,31 @@ class TestRandomSearch:
         out = capsys.readouterr().out
         assert "pop size" in out
         assert (out_dir / "random_search.csv").read_text().count("\n") == 3  # header + 2 rows
+
+    def test_stdout_and_csv_are_pinned(self, tmp_path, fast_config, capsys):
+        out_dir = tmp_path / "rs"
+        argv = ["random-search", "--population-size", "50", "--population-size", "500",
+                "--seed", "0", "--config", fast_config, "--out", str(out_dir)]
+        assert main(argv) == 0
+        header = "  pop size  " + "  ".join(
+            f"{t:^12}"
+            for t in ["[-0.5,1]", "[1,2]", "[2,-0.5]", "[2,1]",
+                      "[1,2,-0.5]", "[1,2,1]", "[2,1,2]", "[2,1,2,-0.5]"]
+        )
+        assert capsys.readouterr().out == (
+            f"{header}  total\n"
+            "        50       .             x             .             x      "
+            "       .             x             .             .        3\n"
+            "       500       x             x             .             x      "
+            "       .             x             x             .        5\n"
+            f"wrote machine-readable output to {out_dir}/\n"
+        )
+        assert (out_dir / "random_search.csv").read_bytes() == (
+            b'population_size,"[-0.5,1]","[1,2]","[2,-0.5]","[2,1]",'
+            b'"[1,2,-0.5]","[1,2,1]","[2,1,2]","[2,1,2,-0.5]",total\r\n'
+            b"50,0,1,0,1,0,1,0,0,3\r\n"
+            b"500,1,1,0,1,0,1,1,0,5\r\n"
+        )
 
     def test_negative_size_is_an_error_line(self, capsys):
         assert main(["random-search", "--population-size", "-5"]) == 2
@@ -248,6 +303,18 @@ class TestDetect:
         assert "band_width 0.25" in captured.err and "--band-width 1" in captured.err
         assert captured.out == ""
 
+    def test_reads_a_csv_with_a_byte_order_mark(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        self.write_prices(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_prices(marked) == read_prices(plain)
+        outs = []
+        for path in (plain, marked):
+            assert main(["detect", "--input", str(path), "--runs", "1"]) == 0
+            outs.append(capsys.readouterr().out.split("\n", 1)[1])  # after the label line
+        assert outs[0] == outs[1]
+
     def test_rejects_missing_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,price\n0,10\n1,11\n")
@@ -301,18 +368,31 @@ class TestTopLevel:
         assert err == b""
 
     @pytest.mark.parametrize(
-        "text",
+        "text,command",
         [
-            "init_size = 1.5\n",
-            "band_width = nan\n",
-            "init_size = 1000000000\n",
-            "clone_factor = 1000000000\n",
+            # a run case is named by its config text alone
+            pytest.param(text, command, id=text if command == "run" else f"{text}-{command}")
+            for command in ["run", "random-search", "detect"]
+            for text in [
+                "init_size = 1.5\n",
+                "band_width = nan\n",
+                "init_size = 1000000000\n",
+                "clone_factor = 1000000000\n",
+                "bind_threshold = inf\n",
+            ]
         ],
     )
-    def test_bad_config_is_an_error_line(self, tmp_path, capsys, text):
+    def test_bad_config_is_an_error_line(self, tmp_path, capsys, command, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
-        assert main(["run", "--preset", "exp1", "--runs", "1", "--config", str(path)]) == 2
+        prices = tmp_path / "prices.csv"
+        prices.write_text("timestamp,close\n0,10\n1,11\n2,10\n3,11\n")
+        argv = {
+            "run": ["run", "--preset", "exp1", "--runs", "1"],
+            "random-search": ["random-search", "--population-size", "50"],
+            "detect": ["detect", "--input", str(prices), "--runs", "1"],
+        }[command]
+        assert main(argv + ["--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1

@@ -59,7 +59,7 @@ class TestLoadConfig:
     def test_defaults_without_base(self, tmp_path):
         path = tmp_path / "tune.cfg"
         path.write_text("min_pool = 30\n")
-        config = load_config(path)
+        config = load_config(path, PoolConfig())
         assert config.min_pool == 30
         assert config.band_width == PoolConfig().band_width
 

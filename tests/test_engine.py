@@ -1,13 +1,14 @@
 """Experiment schedules, the generation loop, and run reproducibility."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tea import engine
-from tea.encoding import Antigen
+from tea.encoding import Antigen, EncodingError
 from tea.engine import (
     ANTIGEN_A,
     ANTIGEN_A1,
@@ -79,6 +80,12 @@ class TestExperimentSpec:
     def test_phase_past_end_rejected(self):
         with pytest.raises(SpecError):
             ExperimentSpec(phases=[PresentationPhase(45, ANTIGEN_A1)], total_generations=50)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_antigen_rejected(self, bad):
+        # such a trend, (1.0, inf) or (1.0, nan), could never be bound by a tracker
+        with pytest.raises(EncodingError, match="non-finite"):
+            ExperimentSpec(phases=[PresentationPhase(1, Antigen((1.0, bad, 1.0, bad)))])
 
     def test_phase_at(self):
         spec = ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A1)])

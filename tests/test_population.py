@@ -71,6 +71,7 @@ class TestPoolConfig:
             {"init_size": 1_000_000_000},
             {"clone_factor": MAX_POOL_SETTING + 1},
             {"init_len_max": MAX_POOL_SETTING + 1},
+            {"bind_threshold": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
