@@ -152,6 +152,8 @@ def cmd_random_search(args):
 
 
 def cmd_detect(args):
+    if args.generations < 1:
+        raise ValueError(f"--generations must be >= 1, got {args.generations}")
     antigen = encode(read_prices(args.input), args.band_width, label=Path(args.input).stem)
     if len(antigen) < 2:
         raise ValueError("need at least 3 price rows to look for trends")

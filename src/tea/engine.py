@@ -14,8 +14,13 @@ cull stale clones, and top back up.  All randomness comes from a single
 per-run seeded stream consumed in that order, so a (spec, config, seed)
 triple is fully reproducible.
 
-Homeostasis copies and sibling clones share their values, so most
-trackers repeat a value tuple already in the pool.  Binding runs at
+Trackers are never changed once made, so pool positions with the same
+state share one object: homeostasis copies are their donors, and a
+generation hands out one object per state it creates (clones and
+improved parents alike).  Most positions repeat a tracker already in
+the pool.  A generation decides bind and proliferation once per
+distinct tracker, then makes one proliferation event, with its draws,
+per position whose tracker improved, in pool order.  Binding runs at
 most once per distinct value tuple in each generation, and every
 tracker with that tuple gets the same frozen MatchResult; when that
 match is no trend match, the trackers skip the proliferation check,
@@ -23,17 +28,18 @@ which it could never pass.  Within a phase a tuple keeps its last match
 unless one of its values lies within the bind threshold of the value the
 prefix just gained: every new window ends in that value, so none can
 bind the tuple, tie with its match or add to its SF.  Observation
-likewise tests each distinct tuple against the true trends once per
-run.  Neither draws random numbers, so sharing their results leaves
-the draw order unchanged.
+counts the pool by tracker and tests each distinct tuple against the
+true trends once per run.  Neither binding nor observation draws random
+numbers, so sharing their results leaves the draw order unchanged.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 
 from .encoding import Antigen, CategorySeq
 from .matching import count_occurrences, enumerate_trends, longest_match
@@ -46,6 +52,7 @@ from .population import (
     cull_stale_clones,
     homeostasis,
     init_pool,
+    intern,
     mutate,
     proliferation_check,
     record_improvement,
@@ -67,9 +74,11 @@ ANTIGEN_A2 = Antigen(ANTIGEN_A.seq[10:], "A2")
 FIXTURES = {"A": ANTIGEN_A, "A1": ANTIGEN_A1, "A2": ANTIGEN_A2}
 
 
-# Largest pool a generation may build, about 400 MB at ~200 bytes per
-# tracker (peak RSS over peak pool for exp3 seed 9).  Long price series
-# can grow the pool without bound; the acceptance seeds peak below 400,000.
+# Largest pool a generation may build.  Positions share tracker objects,
+# so a position costs little more than its list slots: exp3 seed 0 at
+# bind_threshold 0.5 reaches the limit at a peak RSS of about 90 MB, some
+# 40 bytes per position.  Long price series can grow the pool without
+# bound; the acceptance seeds peak below 400,000.
 MAX_POOL = 2_000_000
 
 
@@ -153,13 +162,14 @@ class RunStats:
 
 
 def _matching_counts(pool: list[Tracker], truth, contains: dict) -> dict[CategorySeq, int]:
-    """Trackers containing each trend, counting each distinct value tuple once.
+    """Trackers containing each trend, counting the pool by tracker object.
 
     contains maps a value tuple to the trends of truth it contains; it
     is filled on a miss and may be shared by every call with the same truth.
     """
     counts = dict.fromkeys(truth, 0)
-    for values, n in Counter(map(attrgetter("values"), pool)).items():
+    for tracker, n in Counter(pool).items():
+        values = tracker.values
         found = contains.get(values)
         if found is None:
             found = contains[values] = tuple(t for t in truth if count_occurrences(t, values))
@@ -196,7 +206,9 @@ def run_generation(
         carried = matches.copy()
         matches.clear()
         new, threshold = presented[-1], config.bind_threshold
-        for tracker in pool:
+        born = {}  # this generation's birth table (see population.intern)
+        successor = dict.fromkeys(pool)  # tracker -> itself improved, or itself
+        for tracker in successor:
             values = tracker.values
             match = matches.get(values)
             if match is None:
@@ -205,9 +217,14 @@ def run_generation(
                     match = longest_match(values, presented, threshold)
                     match = match.is_trend_match and match
                 matches[values] = match
-            if not (match and proliferation_check(tracker, match)):
-                continue
-            record_improvement(tracker, match, gen)
+            if match and proliferation_check(tracker, match):
+                successor[tracker] = intern(record_improvement(tracker, match, gen), born)
+            else:
+                successor[tracker] = tracker
+        parents = list(map(successor.__getitem__, pool))
+        # one proliferation event per position whose tracker improved, in pool order
+        for parent in compress(parents, map(is_not, parents, pool)):
+            match = matches[parent.values]
             n_clones = clone_count(match, config)
             size = len(pool) + len(clones) + n_clones
             if size > MAX_POOL:
@@ -215,12 +232,12 @@ def run_generation(
                     f"generation {gen}: the pool would grow to {size:,} trackers, "
                     f"past the limit of {MAX_POOL:,}"
                 )
-            clones += mutate(tracker, config, rng, gen, n_clones, match.tracker_span)
-            action = memory.consider(tracker.values, match, gen)
+            clones += mutate(parent, config, rng, gen, n_clones, match.tracker_span, born)
+            action = memory.consider(parent.values, match, gen)
             if action != "rejected":
                 stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
         stats.total_created += len(clones)
-        pool = pool + clones
+        pool = parents + clones
     pool = apoptose(pool, config, rng)
     culled = cull_stale_clones(pool, config, gen)
     pool = homeostasis(culled, config, rng)
@@ -232,7 +249,7 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
     """A full seeded run of one experiment schedule."""
     rng = random.Random(seed)
     pool = init_pool(config, rng)
-    initial_snapshot = [replace(t) for t in pool]
+    initial_snapshot = list(pool)
     memory = MemoryPool()
     stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
     contains = {}  # value tuple -> trends of spec.truth it contains, for the whole run
@@ -245,7 +262,7 @@ def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunSt
             if gen == phase.start_gen:
                 matches = {}
                 if phase.pool_action_at_start == POOL_ACTION_RESET:
-                    pool = [replace(t) for t in initial_snapshot]
+                    pool = list(initial_snapshot)
                 elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
                     pool = memory.feedback_clones(config, rng)
                     stats.total_created += len(pool)

@@ -4,8 +4,8 @@ One cell per distinct match sequence, holding the least redundant
 tracker seen for it.  A candidate with a new MS is always admitted; one
 with a known MS replaces the cell only if it carries less redundancy.
 The pool persists for the whole run and can be cloned back into the
-tracker population when a new antigen arrives; each feedback clone is a
-separate Tracker object with a zeroed record.
+tracker population when a new antigen arrives, as one Tracker with a
+zeroed record per cell.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class MemoryPool:
         """
         if not self._cells:
             return init_pool(config, rng)
-        cells = [c.tracker_values for c in self._cells.values()]
+        cells = [Tracker(c.tracker_values, MEMORY_CLONE) for c in self._cells.values()]
         extra = [cells[rng.randrange(len(cells))] for _ in range(config.min_pool - len(cells))]
-        return [Tracker(values, MEMORY_CLONE) for values in cells + extra]
+        return cells + extra
 
     def detected_trends(self) -> frozenset[CategorySeq]:
         """A trend counts as detected only when some cell's MS equals it."""

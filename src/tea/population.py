@@ -6,9 +6,11 @@ shortening); the pool is regulated each generation by random apoptosis,
 culling of clones that stopped improving, and homeostatic cloning back
 up to the floor.
 
-A tracker is its values, its origin and its fitness record; it has no
-identity beyond the object itself.  Copies are separate objects, since
-record_improvement updates each tracker's own record.
+A tracker is its values, its origin and its fitness record, and is
+never changed once made: record_improvement returns an improved tracker
+in place of its argument.  Pool positions with the same state can
+therefore share one object.  Homeostatic copies are the donor itself,
+and mutate hands out one object per child state in a generation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from .encoding import band
@@ -85,7 +87,9 @@ class PoolConfig:
             raise ConfigError("bind_threshold must be non-negative and finite")
 
 
-@dataclass(slots=True)
+# Compared and hashed by identity; no field is assigned after __init__.
+# Not frozen: a frozen __init__ costs about four times as much.
+@dataclass(slots=True, eq=False)
 class Tracker:
     values: tuple[float, ...]
     origin: str = NAIVE
@@ -120,15 +124,31 @@ def proliferation_check(tracker: Tracker, match: MatchResult) -> bool:
     return match.is_trend_match and (match.sf > tracker.best_sf or match.ml > tracker.best_ml)
 
 
-def record_improvement(tracker: Tracker, match: MatchResult, gen: int) -> None:
-    tracker.best_sf = max(tracker.best_sf, match.sf)
-    tracker.best_ml = max(tracker.best_ml, match.ml)
-    tracker.last_improvement_gen = gen
+def record_improvement(tracker: Tracker, match: MatchResult, gen: int) -> Tracker:
+    """The tracker with match recorded as its improvement at gen."""
+    return Tracker(
+        tracker.values,
+        tracker.origin,
+        max(tracker.best_sf, match.sf),
+        max(tracker.best_ml, match.ml),
+        gen,
+    )
 
 
 def clone_count(match: MatchResult, config: PoolConfig) -> int:
     """Clones per proliferation event, proportional to match length."""
     return config.clone_factor * match.ml
+
+
+def intern(tracker: Tracker, born: dict) -> Tracker:
+    """The tracker in born with tracker's state, added if there is none.
+
+    born is one generation's birth table.  It maps the state (values,
+    origin, best_sf, best_ml) of each tracker made in that generation,
+    all of which improved at it, to that tracker; mutate also keeps each
+    parent's children there, keyed by the parent.
+    """
+    return born.setdefault((tracker.values, tracker.origin, tracker.best_sf, tracker.best_ml), tracker)
 
 
 def mutate(
@@ -138,6 +158,7 @@ def mutate(
     current_gen: int,
     n: int,
     ms_span: tuple[int, int] | None = None,
+    born: dict | None = None,
 ) -> list[Tracker]:
     """The n mutated clones of one proliferation event, in draw order.
 
@@ -156,35 +177,45 @@ def mutate(
     same match sequence to long-term memory.
 
     Every clone draws as if made alone (rng.random(), then gauss or
-    randrange); siblings with equal values share one tuple.
+    randrange).  Clones in the same state are one object: within the
+    call, and across the calls of one generation that pass the same
+    born table (see intern).  Such calls reuse the children a parent
+    already had, so within a table a parent must keep its ms_span, as it
+    does in a generation, where the span follows from its values.
     """
+    if born is None:
+        born = {}
     values = parent.values
     can_shorten = config.shortening_enabled and len(values) > 1
     extend_prob = config.mutation_extend_prob
     mean, std, width = config.gaussian_mean, config.gaussian_std, config.band_width
     best_sf, best_ml = parent.best_sf, parent.best_ml
-    positions = range(len(values))
-    if ms_span is not None:
-        lo, hi = ms_span
-        redundant = [i for i in positions if not lo <= i < hi]
-        if redundant:
-            positions = redundant
-    extended = {}  # appended value -> child values
-    shortened = {}  # dropped position -> child values
+    children = born.get(parent)
+    if children is None:
+        positions = range(len(values))
+        if ms_span is not None:
+            lo, hi = ms_span
+            redundant = [i for i in positions if not lo <= i < hi]
+            if redundant:
+                positions = redundant
+        # appended value -> child, dropped position -> child, droppable positions
+        children = born[parent] = ({}, {}, positions)
+    extended, shortened, positions = children
     clones = []
     for _ in range(n):
         if not can_shorten or rng.random() < extend_prob:
             value = band(rng.gauss(mean, std), width)
             child = extended.get(value)
             if child is None:
-                child = extended[value] = values + (value,)
-            clones.append(Tracker(child, CLONE, best_sf, best_ml, current_gen))
+                child = Tracker(values + (value,), CLONE, best_sf, best_ml, current_gen)
+                child = extended[value] = intern(child, born)
         else:
             drop = positions[rng.randrange(len(positions))]
             child = shortened.get(drop)
             if child is None:
-                child = shortened[drop] = values[:drop] + values[drop + 1 :]
-            clones.append(Tracker(child, CLONE, 0, 0, current_gen))
+                child = Tracker(values[:drop] + values[drop + 1 :], CLONE, 0, 0, current_gen)
+                child = shortened[drop] = intern(child, born)
+        clones.append(child)
     return clones
 
 
@@ -213,14 +244,14 @@ def cull_stale_clones(pool: list[Tracker], config: PoolConfig, current_gen: int)
 def homeostasis(pool: list[Tracker], config: PoolConfig, rng: random.Random) -> list[Tracker]:
     """Clone uniformly chosen members until the pool is back at min_pool.
 
-    Copies are unmutated, separate objects carrying the donor's record.
-    An empty pool is re-seeded from scratch; nature never actually
-    reaches zero.
+    A copy is the donor itself: an unmutated clone with the donor's
+    record.  An empty pool is re-seeded from scratch; nature never
+    actually reaches zero.
     """
     if not pool:
         log.warning("tracker pool emptied; re-seeding %d random trackers", config.init_size)
         return init_pool(config, rng)
     pool = list(pool)
     while len(pool) < config.min_pool:
-        pool.append(replace(pool[rng.randrange(len(pool))]))
+        pool.append(pool[rng.randrange(len(pool))])
     return pool

@@ -290,6 +290,16 @@ class TestDetect:
         assert "generation 90: the pool would grow to 5,002 trackers" in errors[0]
         assert "past the limit of 5,000" in errors[0]
 
+    @pytest.mark.parametrize("generations", ["0", "-3"])
+    def test_generations_below_one_is_an_error_line(self, tmp_path, capsys, generations):
+        csv_path = tmp_path / "prices.csv"
+        self.write_prices(csv_path)
+        argv = ["detect", "--input", str(csv_path), "--runs", "1", "--generations", generations]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --generations must be >= 1, got {generations}\n"
+        assert captured.out == ""
+
     def test_config_band_width_must_match_the_flag(self, tmp_path, capsys):
         # the antigen is banded at --band-width, so trackers may not band on another grid
         csv_path = tmp_path / "prices.csv"

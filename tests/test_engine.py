@@ -3,12 +3,13 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tea import engine
-from tea.encoding import Antigen, EncodingError
+from tea.encoding import Antigen, EncodingError, band
 from tea.engine import (
     ANTIGEN_A,
     ANTIGEN_A1,
@@ -17,6 +18,7 @@ from tea.engine import (
     POOL_ACTION_RESET,
     ExperimentSpec,
     GenRecord,
+    MemoryEvent,
     PresentationPhase,
     RunStats,
     SpecError,
@@ -27,9 +29,20 @@ from tea.engine import (
     run_experiment,
     run_generation,
 )
-from tea.matching import count_occurrences, enumerate_trends
+from tea.matching import count_occurrences, enumerate_trends, longest_match
 from tea.memory import MemoryPool
-from tea.population import PoolConfig, Tracker, init_pool
+from tea.population import (
+    CLONE,
+    MEMORY_CLONE,
+    NAIVE,
+    PoolConfig,
+    Tracker,
+    apoptose,
+    clone_count,
+    cull_stale_clones,
+    init_pool,
+    proliferation_check,
+)
 
 # Small and fast: enough signal for structural checks without the
 # calibrated preset's population growth.
@@ -251,6 +264,187 @@ class TestCarriedBinds:
             assert got.final_memory.to_rows() == expected.final_memory.to_rows()
             assert got.total_created == expected.total_created
             assert rngs.pop().getstate() == rng.getstate()
+
+
+@dataclasses.dataclass
+class MutableTracker:
+    """A tracker whose record is updated in place: one object per pool position."""
+
+    values: tuple
+    origin: str = NAIVE
+    best_sf: int = 0
+    best_ml: int = 0
+    last_improvement_gen: int = 0
+
+
+def reference_mutate(parent, config, rng, gen, n, ms_span):
+    """n clones, each its own object, drawn as population.mutate draws them."""
+    values = parent.values
+    positions = range(len(values))
+    if ms_span is not None:
+        redundant = [i for i in positions if not ms_span[0] <= i < ms_span[1]]
+        positions = redundant or positions
+    can_shorten = config.shortening_enabled and len(values) > 1
+    clones = []
+    for _ in range(n):
+        if not can_shorten or rng.random() < config.mutation_extend_prob:
+            value = band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
+            child = MutableTracker(values + (value,), CLONE, parent.best_sf, parent.best_ml, gen)
+        else:
+            drop = positions[rng.randrange(len(positions))]
+            child = MutableTracker(values[:drop] + values[drop + 1 :], CLONE, 0, 0, gen)
+        clones.append(child)
+    return clones
+
+
+def reference_fresh_pool(config, rng):
+    return [MutableTracker(t.values) for t in init_pool(config, rng)]
+
+
+def reference_generation(pool, memory, presented, config, rng, gen, stats):
+    """One generation, binding and proliferating position by position."""
+    if presented is not None:
+        clones = []
+        matches = {}  # value tuple -> its bind in this generation
+        for tracker in pool:
+            match = matches.get(tracker.values)
+            if match is None:
+                match = longest_match(tracker.values, presented, config.bind_threshold)
+                matches[tracker.values] = match
+            if not proliferation_check(tracker, match):
+                continue
+            tracker.best_sf = max(tracker.best_sf, match.sf)
+            tracker.best_ml = max(tracker.best_ml, match.ml)
+            tracker.last_improvement_gen = gen
+            n_clones = clone_count(match, config)
+            clones += reference_mutate(tracker, config, rng, gen, n_clones, match.tracker_span)
+            action = memory.consider(tracker.values, match, gen)
+            if action != "rejected":
+                stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
+        stats.total_created += len(clones)
+        pool = pool + clones
+    pool = apoptose(pool, config, rng)
+    culled = cull_stale_clones(pool, config, gen)
+    if culled:
+        pool = list(culled)
+        while len(pool) < config.min_pool:
+            pool.append(dataclasses.replace(pool[rng.randrange(len(pool))]))
+    else:
+        pool = reference_fresh_pool(config, rng)
+    stats.total_created += len(pool) - len(culled)
+    return pool
+
+
+def reference_run(spec, config, seed):
+    """run_experiment as a per-position loop over mutable trackers.
+
+    Every clone, homeostasis copy, reset copy and feedback clone is a
+    separate object.  Returns the stats and the run's random stream.
+    """
+    rng = random.Random(seed)
+    pool = reference_fresh_pool(config, rng)
+    initial_snapshot = [dataclasses.replace(t) for t in pool]
+    memory = MemoryPool()
+    stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
+    contains = {}  # value tuple -> the trends of spec.truth it contains
+    for gen in range(1, spec.total_generations + 1):
+        phase = spec.phase_at(gen)
+        presented = None
+        if phase is not None:
+            if gen == phase.start_gen:
+                if phase.pool_action_at_start == POOL_ACTION_RESET:
+                    pool = [dataclasses.replace(t) for t in initial_snapshot]
+                elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
+                    if len(memory):
+                        cells = [c.tracker_values for c in memory]
+                        cells += [cells[rng.randrange(len(cells))] for _ in range(config.min_pool - len(cells))]
+                        pool = [MutableTracker(values, MEMORY_CLONE) for values in cells]
+                    else:
+                        pool = reference_fresh_pool(config, rng)
+                    stats.total_created += len(pool)
+            presented = phase.presented(gen)
+        pool = reference_generation(pool, memory, presented, config, rng, gen, stats)
+        matching = dict.fromkeys(spec.truth, 0)
+        for values, n in Counter(t.values for t in pool).items():
+            if values not in contains:
+                contains[values] = [t for t in spec.truth if count_occurrences(t, values)]
+            for trend in contains[values]:
+                matching[trend] += n
+        stats.records.append(GenRecord(gen, len(pool), matching))
+    return stats, rng
+
+
+class TestAgainstPerPositionLoop:
+    @pytest.mark.parametrize("preset", ["exp1", "exp2", "exp3", "back-to-back"])
+    @pytest.mark.parametrize(
+        "config",
+        [preset_config(), dataclasses.replace(preset_config(), bind_threshold=0.5, clone_factor=1)],
+        ids=["exact", "threshold-0.5"],
+    )
+    def test_equal_to_mutable_trackers_one_per_position(self, monkeypatch, preset, config):
+        rngs = []
+
+        def init_and_keep_rng(config, rng):
+            rngs.append(rng)
+            return init_pool(config, rng)
+
+        monkeypatch.setattr(engine, "init_pool", init_and_keep_rng)
+        spec = BACK_TO_BACK if preset == "back-to-back" else preset_spec(preset)
+        for seed in (0, 2, 40):  # exp3 seed 2 re-seeds; seed 40 peaks at 10,843 trackers
+            got = run_experiment(spec, config, seed)
+            expected, rng = reference_run(spec, config, seed)
+            assert got.records == expected.records
+            assert got.memory_events == expected.memory_events
+            assert got.final_memory.to_rows() == expected.final_memory.to_rows()
+            assert got.total_created == expected.total_created
+            assert rngs.pop().getstate() == rng.getstate()
+
+
+def state(tracker):
+    return (tracker.values, tracker.origin, tracker.best_sf, tracker.best_ml, tracker.last_improvement_gen)
+
+
+def pool_after_each_generation(monkeypatch, spec, seed):
+    pools = []
+    generation = engine.run_generation
+
+    def kept(pool, *args):
+        pool = generation(pool, *args)
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(engine, "run_generation", kept)
+    run_experiment(spec, preset_config(), seed)
+    return pools
+
+
+class TestSharedTrackers:
+    def test_run_generation_changes_no_tracker(self, monkeypatch):
+        checked = []
+        generation = engine.run_generation
+
+        def checking(pool, memory, presented, *args):
+            before = [state(t) for t in pool]
+            grown = generation(pool, memory, presented, *args)
+            assert [state(t) for t in pool] == before
+            checked.append(presented is not None and len(grown) > len(pool))
+            return grown
+
+        monkeypatch.setattr(engine, "run_generation", checking)
+        run_experiment(preset_spec("exp3"), preset_config(), 40)
+        assert any(checked)  # some presenting generation proliferated
+
+    @pytest.mark.parametrize("seed", [0, 40, 51])
+    def test_one_object_per_state_among_improved_trackers(self, monkeypatch, seed):
+        # trackers of the initial draw (improved at generation 0) may repeat a state
+        for pool in pool_after_each_generation(monkeypatch, preset_spec("exp3"), seed):
+            improved = [t for t in pool if t.last_improvement_gen >= 1]
+            assert len({id(t) for t in improved}) == len({state(t) for t in improved})
+
+    def test_exp3_seed_51_shares_its_largest_pool(self, monkeypatch):
+        pool = pool_after_each_generation(monkeypatch, preset_spec("exp3"), 51)[19]
+        assert len(pool) == 18_670
+        assert len({id(t) for t in pool}) == len({state(t) for t in pool}) == 289
 
 
 value_tuples = st.lists(st.sampled_from([-0.5, 1.0, 2.0]), min_size=1, max_size=6).map(tuple)

@@ -81,6 +81,11 @@ class TestFeedbackClones:
         assert len(clones) == 10
         assert {c.values for c in clones} == {c.ms for c in memory}
 
+    def test_extra_copies_are_the_cell_trackers(self):
+        memory = self.seeded_pool(2)
+        clones = memory.feedback_clones(PoolConfig(min_pool=10), random.Random(0))
+        assert {id(c) for c in clones} == {id(c) for c in clones[:2]}
+
     def test_empty_memory_falls_back_to_random_pool(self):
         memory = MemoryPool()
         config = PoolConfig(init_size=20)

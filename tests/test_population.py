@@ -118,10 +118,11 @@ class TestProliferation:
         assert proliferation_check(t, self.match(sf=2, ml=3))
 
     def test_record_improvement_is_monotone(self):
-        t = make_tracker((1.0, 2.0), best_sf=5, best_ml=2)
-        record_improvement(t, self.match(sf=2, ml=3), gen=4)
-        assert t.best_sf == 5 and t.best_ml == 3
-        assert t.last_improvement_gen == 4
+        t = make_tracker((1.0, 2.0), origin=CLONE, best_sf=5, best_ml=2, gen=1)
+        improved = record_improvement(t, self.match(sf=2, ml=3), gen=4)
+        assert state(improved) == ((1.0, 2.0), CLONE, 5, 3, 4)
+        # the argument keeps its record: other pool positions may share it
+        assert state(t) == ((1.0, 2.0), CLONE, 5, 2, 1)
 
     def test_clone_count_proportional_to_ml(self):
         config = PoolConfig(clone_factor=3)
@@ -275,6 +276,32 @@ class TestMutate:
                 assert extended.setdefault(child.values, child.values) is child.values
         assert len({id(c.values) for c in children if len(c.values) < len(values)}) <= len(values)
 
+    @given(
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150)
+    def test_a_shared_birth_table_moves_no_draw(self, picks, n, seed):
+        # equal children of different parents, or of one parent called
+        # again, are one object; every state and draw is as without the table
+        parents = [
+            (make_tracker((1.0, 2.0, 1.0), best_sf=2, best_ml=2, gen=4), (0, 2)),
+            (make_tracker((1.0, 2.0, 1.0), origin=CLONE, best_sf=2, best_ml=2, gen=4), (0, 2)),
+            (make_tracker((1.0, 2.0, 1.0), best_sf=3, best_ml=2, gen=4), (0, 2)),
+            (make_tracker((2.0, 1.0, 2.0), best_sf=2, best_ml=2, gen=4), None),
+        ]
+        config = PoolConfig(band_width=0.5, gaussian_mean=1.0, mutation_extend_prob=0.5)
+        rng, twin = random.Random(seed), random.Random(seed)
+        born = {}
+        shared, alone = [], []
+        for parent, span in (parents[i] for i in picks):
+            shared += mutate(parent, config, rng, 4, n, span, born)
+            alone += mutate(parent, config, twin, 4, n, span)
+        assert [state(c) for c in shared] == [state(c) for c in alone]
+        assert rng.getstate() == twin.getstate()
+        assert len({id(c) for c in shared}) == len({state(c) for c in shared})
+
 
 class TestRegulation:
     def pool_of(self, n, origin=NAIVE):
@@ -333,9 +360,9 @@ class TestRegulation:
         pool = [make_tracker((1.0, 2.0)) for _ in range(3)]
         topped = homeostasis(pool, config, random.Random(0))
         assert len(topped) == 20
-        assert {t.values for t in topped} == {(1.0, 2.0)}
-        # copies are separate objects, so each keeps its own record
-        assert len({id(t) for t in topped}) == 20
+        assert topped[:3] == pool
+        # a copy is its donor: trackers are never changed, so they can be shared
+        assert {id(t) for t in topped} == {id(t) for t in pool}
 
     def test_homeostasis_reseeds_empty_pool(self, caplog):
         config = PoolConfig(init_size=20)
