@@ -1,11 +1,11 @@
 """Random-search comparator.
 
-Generates one big random tracker population (same distribution as the
-evolving pool's initialisation), binds each distinct tracker value
-tuple to the antigen once, and keeps the least redundant tracker per
-repeating match sequence.  No proliferation, mutation, or memory
-feedback: this is the budget-for-budget baseline the evolving search
-has to beat.
+Streams the value tuples of one big random tracker population (same
+distribution and draws as the evolving pool's initialisation), binds
+and admits each distinct tuple once, and keeps the least redundant
+tracker per repeating match sequence.  No proliferation, mutation, or
+memory feedback: this is the budget-for-budget baseline the evolving
+search has to beat.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .encoding import Antigen, CategorySeq
 from .matching import longest_match
 from .memory import MemoryPool
-from .population import PoolConfig, random_tracker
+from .population import PoolConfig, random_values
 
 
 @dataclass
@@ -33,19 +33,10 @@ def random_search(
     if population_size < 0:
         raise ValueError(f"population size must be >= 0, got {population_size}")
     memory = MemoryPool()
-    # the antigen is fixed, so trackers drawn with the same values share one bind
-    matches = {}
-    for _ in range(population_size):
-        tracker = random_tracker(config, rng)
-        match = matches.get(tracker.values)
-        if match is None:
-            match = matches[tracker.values] = longest_match(
-                tracker.values, antigen, config.bind_threshold
-            )
+    # the antigen is fixed, so a repeated value tuple repeats its match, and
+    # memory could only reject it again: bind each tuple once, in draw order
+    for values in dict.fromkeys(random_values(config, rng, population_size)):
+        match = longest_match(values, antigen, config.bind_threshold)
         if match.is_trend_match:
-            memory.consider(tracker.values, match, gen=0)
-    return RandomSearchResult(
-        population_size=population_size,
-        detected=memory.detected_trends(),
-        memory=memory,
-    )
+            memory.consider(values, match, gen=0)
+    return RandomSearchResult(population_size, memory.detected_trends(), memory)

@@ -4,6 +4,8 @@ A raw price series becomes a sequence of banded price changes.  Banding
 rounds every change outward to the nearest multiple of the configured
 band width, so a rise of $0.40 with width $1 counts as a $1 rise.  The
 banded sequence is the antigen the tracker population binds against.
+banding(width) checks a width once and returns its band function, which
+bands the antigen and every random draw of the trackers alike.
 """
 
 from __future__ import annotations
@@ -67,32 +69,37 @@ def band(delta: float, width: float) -> float:
     bands to -$0.5.  A non-finite change, or one whose quotient by the
     width overflows, raises EncodingError.
     """
+    return banding(width)(delta)
+
+
+@lru_cache(maxsize=16, typed=True)  # typed: an int width prints as an int
+def banding(width: float):
+    """band at one width, checked once, as a function of the delta (first 64 grid points kept)."""
     if not (math.isfinite(width) and width > 0):
         raise EncodingError(f"band width must be positive and finite, got {width}")
-    if delta == 0:
-        return 0.0
-    q = abs(delta) / width
-    try:
-        steps = math.ceil(q)
-    except (OverflowError, ValueError):  # q is infinite or nan
-        raise EncodingError(f"price change {delta} has no band at width {width}") from None
-    # round() absorbs float noise in the quotient so banding is
-    # idempotent on its own outputs (e.g. widths like 0.1).  Rounding q
-    # to 9 places moves its ceiling only when q lies just above an
-    # integer, and max(1, ...) matters only when q underflows to 0, so
-    # only those quotients take the rounded path.
-    if steps == 0 or q - (steps - 1) < 1e-6:
-        steps = max(1, math.ceil(round(q, 9)))
-    return math.copysign(_grid_point(steps, width), delta)
+    points = [round(k * width, 9) for k in range(64)]
 
+    def band_at(delta: float) -> float:
+        if delta == 0:
+            return 0.0
+        q = abs(delta) / width
+        try:
+            steps = math.ceil(q)
+        except (OverflowError, ValueError):  # q is infinite or nan
+            raise EncodingError(f"price change {delta} has no band at width {width}") from None
+        # round() absorbs float noise in the quotient so banding is
+        # idempotent on its own outputs (e.g. widths like 0.1).  Rounding q
+        # to 9 places moves its ceiling only when q lies just above an
+        # integer, and max(1, ...) matters only when q underflows to 0, so
+        # only those quotients take the rounded path.
+        if steps == 0 or q - (steps - 1) < 1e-6:
+            steps = max(1, math.ceil(round(q, 9)))
+        return math.copysign(points[steps] if steps < 64 else round(steps * width, 9), delta)
 
-@lru_cache(maxsize=4096)
-def _grid_point(steps: int, width: float) -> float:
-    """steps * width, rounded to 9 places like every banded value."""
-    return round(steps * width, 9)
+    return band_at
 
 
 def encode(series: list[PricePoint], width: float = 1.0, label: str = "") -> Antigen:
     """Band the deltas of a price series into an antigen."""
     deltas = price_changes(series)
-    return Antigen(tuple(band(d, width) for d in deltas), label)
+    return Antigen(tuple(map(banding(width), deltas)), label)

@@ -9,8 +9,9 @@ phases (apoptosis, stale-clone culling, homeostasis) keep running, so the
 population decays back to its floor.
 
 Per generation the order is fixed: bind the trackers, proliferate and
-mutate the improvers, submit them to long-term memory, then apoptose,
-cull stale clones, and top back up.  All randomness comes from a single
+mutate the improvers, submit each to long-term memory once (cells only
+shrink, so a resubmission could only be rejected), then apoptose, cull
+stale clones, and top back up.  All randomness comes from a single
 per-run seeded stream consumed in that order, so a (spec, config, seed)
 triple is fully reproducible.
 
@@ -222,6 +223,7 @@ def run_generation(
             else:
                 successor[tracker] = tracker
         parents = list(map(successor.__getitem__, pool))
+        considered = set()  # cells only shrink, so memory would reject a parent's repeats
         # one proliferation event per position whose tracker improved, in pool order
         for parent in compress(parents, map(is_not, parents, pool)):
             match = matches[parent.values]
@@ -233,9 +235,11 @@ def run_generation(
                     f"past the limit of {MAX_POOL:,}"
                 )
             clones += mutate(parent, config, rng, gen, n_clones, match.tracker_span, born)
-            action = memory.consider(parent.values, match, gen)
-            if action != "rejected":
-                stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
+            if parent not in considered:
+                considered.add(parent)
+                action = memory.consider(parent.values, match, gen)
+                if action != "rejected":
+                    stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
         stats.total_created += len(clones)
         pool = parents + clones
     pool = apoptose(pool, config, rng)

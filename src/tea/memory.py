@@ -93,13 +93,8 @@ class MemoryPool:
     # -- snapshot format: ms;tracker_values;redundancy;created_gen ------
 
     def to_rows(self) -> list[str]:
-        return [
-            "%s;%s;%d;%d"
-            % (
-                ",".join(repr(v) for v in c.ms),
-                ",".join(repr(v) for v in c.tracker_values),
-                c.redundancy,
-                c.created_gen,
-            )
-            for c in self._cells.values()
-        ]
+        rows = []
+        for c in self._cells.values():
+            ms, values = ",".join(map(repr, c.ms)), ",".join(map(repr, c.tracker_values))
+            rows.append("%s;%s;%d;%d" % (ms, values, c.redundancy, c.created_gen))
+        return rows

@@ -11,6 +11,11 @@ never changed once made: record_improvement returns an improved tracker
 in place of its argument.  Pool positions with the same state can
 therefore share one object.  Homeostatic copies are the donor itself,
 and mutate hands out one object per child state in a generation.
+
+Every fresh value is a Gaussian draw banded with the band function of
+the config's width (encoding.banding).  random_values streams the value
+tuples of random naive trackers in draw order; init_pool, random_tracker
+and the random-search baseline take theirs from it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .encoding import band
+from .encoding import banding
 from .matching import MatchResult
 
 log = logging.getLogger(__name__)
@@ -60,8 +65,6 @@ class PoolConfig:
     shortening_enabled: bool = True
 
     def __post_init__(self):
-        if self.gaussian_std is None:
-            self.gaussian_std = 2.0 * self.band_width
         if self.init_size < 1 or self.min_pool < 1 or self.clone_factor < 1:
             raise ConfigError("sizes and clone_factor must be >= 1")
         sizes = (self.init_size, self.min_pool, self.init_len_max, self.clone_factor)
@@ -73,6 +76,12 @@ class PoolConfig:
             raise ConfigError("bad initial length range")
         if not (math.isfinite(self.band_width) and self.band_width > 0):
             raise ConfigError("band_width must be positive and finite")
+        if self.gaussian_std is None:
+            self.gaussian_std = 2.0 * self.band_width
+            if math.isinf(self.gaussian_std):  # only band_width was set
+                raise ConfigError(
+                    f"band_width {self.band_width:g} is too large for the default gaussian_std"
+                )
         if not (math.isfinite(self.gaussian_std) and self.gaussian_std >= 0):
             raise ConfigError("gaussian_std must be non-negative and finite")
         if not math.isfinite(self.gaussian_mean):
@@ -98,20 +107,22 @@ class Tracker:
     last_improvement_gen: int = 0  # read only for CLONE trackers
 
 
-def random_estimate(config: PoolConfig, rng: random.Random) -> float:
-    """One Gaussian price-change draw, banded onto the category grid."""
-    return band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
+def random_values(config: PoolConfig, rng: random.Random, n: int):
+    """The values of n random naive trackers: each a randint length of banded gauss draws."""
+    randint, gauss, band_at = rng.randint, rng.gauss, banding(config.band_width)
+    lo, hi = config.init_len_min, config.init_len_max
+    mean, std = config.gaussian_mean, config.gaussian_std
+    for _ in range(n):
+        yield tuple([band_at(gauss(mean, std)) for _ in range(randint(lo, hi))])
 
 
 def random_tracker(config, rng) -> Tracker:
-    length = rng.randint(config.init_len_min, config.init_len_max)
-    values = tuple(random_estimate(config, rng) for _ in range(length))
-    return Tracker(values)
+    return Tracker(next(random_values(config, rng, 1)))
 
 
 def init_pool(config: PoolConfig, rng: random.Random) -> list[Tracker]:
     """Fresh naive pool of init_size random trackers."""
-    return [random_tracker(config, rng) for _ in range(config.init_size)]
+    return list(map(Tracker, random_values(config, rng, config.init_size)))
 
 
 def proliferation_check(tracker: Tracker, match: MatchResult) -> bool:
@@ -126,13 +137,8 @@ def proliferation_check(tracker: Tracker, match: MatchResult) -> bool:
 
 def record_improvement(tracker: Tracker, match: MatchResult, gen: int) -> Tracker:
     """The tracker with match recorded as its improvement at gen."""
-    return Tracker(
-        tracker.values,
-        tracker.origin,
-        max(tracker.best_sf, match.sf),
-        max(tracker.best_ml, match.ml),
-        gen,
-    )
+    best_sf, best_ml = max(tracker.best_sf, match.sf), max(tracker.best_ml, match.ml)
+    return Tracker(tracker.values, tracker.origin, best_sf, best_ml, gen)
 
 
 def clone_count(match: MatchResult, config: PoolConfig) -> int:
@@ -183,28 +189,24 @@ def mutate(
     already had, so within a table a parent must keep its ms_span, as it
     does in a generation, where the span follows from its values.
     """
-    if born is None:
-        born = {}
+    born = {} if born is None else born
     values = parent.values
     can_shorten = config.shortening_enabled and len(values) > 1
-    extend_prob = config.mutation_extend_prob
-    mean, std, width = config.gaussian_mean, config.gaussian_std, config.band_width
+    extend_prob, band_at = config.mutation_extend_prob, banding(config.band_width)
+    mean, std = config.gaussian_mean, config.gaussian_std
     best_sf, best_ml = parent.best_sf, parent.best_ml
     children = born.get(parent)
     if children is None:
         positions = range(len(values))
-        if ms_span is not None:
-            lo, hi = ms_span
-            redundant = [i for i in positions if not lo <= i < hi]
-            if redundant:
-                positions = redundant
+        if ms_span is not None:  # the redundant positions, if any
+            positions = [i for i in positions if not ms_span[0] <= i < ms_span[1]] or positions
         # appended value -> child, dropped position -> child, droppable positions
         children = born[parent] = ({}, {}, positions)
     extended, shortened, positions = children
     clones = []
     for _ in range(n):
         if not can_shorten or rng.random() < extend_prob:
-            value = band(rng.gauss(mean, std), width)
+            value = band_at(rng.gauss(mean, std))
             child = extended.get(value)
             if child is None:
                 child = Tracker(values + (value,), CLONE, best_sf, best_ml, current_gen)

@@ -1,27 +1,82 @@
 """Random-search comparator."""
 
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from tea.baseline import random_search
-from tea.engine import ANTIGEN_A
+from tea.encoding import PricePoint, band, encode
+from tea.engine import ANTIGEN_A, preset_config
 from tea.matching import enumerate_trends, longest_match
 from tea.memory import MemoryPool
-from tea.population import PoolConfig, random_tracker
+from tea.population import PoolConfig, init_pool, random_tracker
 
 CONFIG = PoolConfig(band_width=0.5, gaussian_mean=1.2, gaussian_std=0.5, init_len_min=2)
 
 
+def reference_values(config, rng):
+    """One random naive tracker's values: randint for the length, then one banded gauss each."""
+    length = rng.randint(config.init_len_min, config.init_len_max)
+    return tuple(
+        band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
+        for _ in range(length)
+    )
+
+
 def reference_search(antigen, population_size, config, rng) -> MemoryPool:
-    """random_search as a plain loop that binds every draw afresh."""
+    """random_search as a plain loop that binds and admits every draw."""
     memory = MemoryPool()
     for _ in range(population_size):
-        tracker = random_tracker(config, rng)
-        match = longest_match(tracker.values, antigen, config.bind_threshold)
+        values = reference_values(config, rng)
+        match = longest_match(values, antigen, config.bind_threshold)
         if match.is_trend_match:
-            memory.consider(tracker.values, match, gen=0)
+            memory.consider(values, match, gen=0)
     return memory
+
+
+def banded_walk(changes=300, seed=0):
+    """A Gaussian random walk of unit steps, banded at 0.5."""
+    rng = random.Random(seed)
+    closes = [100.0]
+    for _ in range(changes):
+        closes.append(closes[-1] + rng.gauss(0.0, 1.0))
+    return encode([PricePoint(float(t), c) for t, c in enumerate(closes)], 0.5, label="walk")
+
+
+WALK = banded_walk()
+REFERENCE_CONFIGS = {
+    "preset": preset_config(),
+    "half-width": PoolConfig(band_width=0.5),
+    "loose-threshold": replace(preset_config(), bind_threshold=0.5),
+    "length-3-tenth": PoolConfig(band_width=0.1, init_len_min=3, init_len_max=3),
+    "zero-std": replace(preset_config(), gaussian_std=0.0),
+}
+
+
+@pytest.mark.parametrize("antigen,size", [(ANTIGEN_A, 3000), (WALK, 800)], ids=["A", "walk"])
+@pytest.mark.parametrize("name", list(REFERENCE_CONFIGS))
+class TestAgainstReferenceDraws:
+    """Every random tracker draws as reference_values does, at any config."""
+
+    def test_random_search(self, name, antigen, size):
+        config = REFERENCE_CONFIGS[name]
+        rng, ref_rng = random.Random(5), random.Random(5)
+        result = random_search(antigen, size, config, rng)
+        expected = reference_search(antigen, size, config, ref_rng)
+        assert result.memory.to_rows() == expected.to_rows()
+        assert result.detected == expected.detected_trends()
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_init_pool_and_random_tracker(self, name, antigen, size):
+        config = REFERENCE_CONFIGS[name]
+        rng, ref_rng = random.Random(9), random.Random(9)
+        pool = init_pool(config, rng)
+        singles = [random_tracker(config, rng) for _ in range(size // 10)]
+        expected = [reference_values(config, ref_rng) for _ in range(config.init_size + size // 10)]
+        assert [t.values for t in pool + singles] == expected
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestRandomSearch:
@@ -63,6 +118,29 @@ class TestRandomSearch:
         result = random_search(ANTIGEN_A, 3000, CONFIG, random.Random(seed))
         expected = reference_search(ANTIGEN_A, 3000, CONFIG, random.Random(seed))
         assert result.memory.to_rows() == expected.to_rows()
+
+    def test_admits_each_distinct_tuple_once(self, monkeypatch):
+        # a repeated tuple repeats its match, which memory could only reject
+        submitted = []
+        consider = MemoryPool.consider
+
+        def counted(memory, values, match, gen):
+            submitted.append(values)
+            return consider(memory, values, match, gen)
+
+        monkeypatch.setattr(MemoryPool, "consider", counted)
+        random_search(ANTIGEN_A, 3000, CONFIG, random.Random(0))
+        assert submitted and len(submitted) == len(set(submitted))
+
+    def test_streams_its_draws(self):
+        # a list of the 50,000 draws alone would pass the bound
+        tracemalloc.start()
+        try:
+            random_search(ANTIGEN_A, 50_000, preset_config(), random.Random(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_rejects_negative_population(self):
         with pytest.raises(ValueError, match="population size"):

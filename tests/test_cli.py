@@ -218,6 +218,31 @@ class TestRandomSearch:
             b"500,1,1,0,1,0,1,1,0,5\r\n"
         )
 
+    def test_preset_stdout_and_csv_at_4k_and_20k_are_pinned(self, tmp_path, capsys):
+        out_dir = tmp_path / "rs"
+        argv = ["random-search", "--population-size", "4000", "--population-size", "20000",
+                "--antigen", "A", "--seed", "0", "--out", str(out_dir)]
+        assert main(argv) == 0
+        header = "  pop size  " + "  ".join(
+            f"{t:^12}"
+            for t in ["[-0.5,1]", "[1,2]", "[2,-0.5]", "[2,1]",
+                      "[1,2,-0.5]", "[1,2,1]", "[2,1,2]", "[2,1,2,-0.5]"]
+        )
+        assert capsys.readouterr().out == (
+            f"{header}  total\n"
+            "      4000       .             x             x             x      "
+            "       .             x             x             .        5\n"
+            "     20000       x             x             x             x      "
+            "       .             x             x             .        6\n"
+            f"wrote machine-readable output to {out_dir}/\n"
+        )
+        assert (out_dir / "random_search.csv").read_bytes() == (
+            b'population_size,"[-0.5,1]","[1,2]","[2,-0.5]","[2,1]",'
+            b'"[1,2,-0.5]","[1,2,1]","[2,1,2]","[2,1,2,-0.5]",total\r\n'
+            b"4000,0,1,1,1,0,1,1,0,5\r\n"
+            b"20000,1,1,1,1,0,1,1,0,6\r\n"
+        )
+
     def test_negative_size_is_an_error_line(self, capsys):
         assert main(["random-search", "--population-size", "-5"]) == 2
         captured = capsys.readouterr()
@@ -271,6 +296,17 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "positive and finite" in err
         assert len(err.splitlines()) == 1
+
+    def test_huge_band_width_is_an_error_line(self, tmp_path, capsys):
+        # only --band-width was given; the default gaussian_std of 2 band widths overflows
+        csv_path = tmp_path / "prices.csv"
+        self.write_prices(csv_path)
+        argv = ["detect", "--input", str(csv_path), "--runs", "1", "--band-width", "1e308"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: band_width 1e+308 ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     def test_pool_limit_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         # a 100-change walk whose pool passes 5,000 trackers in generation 90,

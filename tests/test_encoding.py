@@ -9,10 +9,15 @@ from tea.encoding import Antigen, EncodingError, PricePoint, band, encode, price
 
 
 def reference_band(delta, width):
-    """The banding formula the fast path in band replaces."""
+    """The banding formula the fast path in band replaces, errors included."""
+    if not (math.isfinite(width) and width > 0):
+        raise EncodingError(f"band width must be positive and finite, got {width}")
     if delta == 0:
         return 0.0
-    steps = max(1, math.ceil(round(abs(delta) / width, 9)))
+    try:
+        steps = max(1, math.ceil(round(abs(delta) / width, 9)))
+    except (OverflowError, ValueError):  # the quotient is infinite or nan
+        raise EncodingError(f"price change {delta} has no band at width {width}") from None
     return math.copysign(round(steps * width, 9), delta)
 
 
@@ -101,6 +106,35 @@ class TestBand:
         out = band(delta, width)
         expected = reference_band(delta, width)
         assert out == expected and math.copysign(1, out) == math.copysign(1, expected)
+
+    @given(
+        delta=st.floats() | st.integers(-10**6, 10**6),
+        width=st.floats() | st.integers(-2, 9) | st.sampled_from([0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=500)
+    def test_equals_reference_formula_and_errors(self, delta, width):
+        # any float or int on both sides: the same value, or the same error
+        # and message.  A grid point past the largest float is inf at a float
+        # width and an OverflowError at an int width, on both sides alike.
+        try:
+            expected = reference_band(delta, width)
+        except (EncodingError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                band(delta, width)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        out = band(delta, width)
+        assert out == expected and math.copysign(1, out) == math.copysign(1, expected)
+
+    def test_messages_name_the_width_as_given(self):
+        # an int width, a bool one included, prints as given, whatever equal
+        # width came before
+        for width in (1.0, 1, True, 1.0, 2, 2.0):
+            with pytest.raises(EncodingError, match=f"at width {width}$"):
+                band(math.inf, width)
+        for width in (0.0, 0, -0.0, 0):
+            with pytest.raises(EncodingError, match=f"got {width}$"):
+                band(1.0, width)
 
     @pytest.mark.parametrize("width", [0.1, 0.3, 0.5, 1, 7])
     def test_equals_reference_formula_at_grid_edges(self, width):

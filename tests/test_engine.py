@@ -184,6 +184,26 @@ class TestRunExperiment:
         run_experiment(preset_spec("exp3"), preset_config(), seed=0)
         assert seen and all(seen)
 
+    def test_one_consider_per_improved_parent_per_generation(self, monkeypatch):
+        # cells only ever shrink, so a parent's later events in a generation
+        # would submit a redundancy its first event already left in the cell
+        events, considered = [], []
+        mutate, consider = engine.mutate, MemoryPool.consider
+
+        def counted_mutate(parent, config, rng, gen, *args):
+            events.append((gen, parent))
+            return mutate(parent, config, rng, gen, *args)
+
+        def counted_consider(memory, values, match, gen):
+            considered.append(gen)
+            return consider(memory, values, match, gen)
+
+        monkeypatch.setattr(engine, "mutate", counted_mutate)
+        monkeypatch.setattr(MemoryPool, "consider", counted_consider)
+        run_experiment(preset_spec("exp3"), preset_config(), seed=40)
+        assert len(set(events)) < len(events)
+        assert sorted(considered) == sorted(gen for gen, _ in set(events))
+
     @pytest.mark.parametrize(
         "preset,seed,created",
         [

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tea.encoding import band
 from tea.matching import MatchResult, longest_match
 from tea.population import (
     CLONE,
@@ -22,7 +23,7 @@ from tea.population import (
     init_pool,
     mutate,
     proliferation_check,
-    random_estimate,
+    random_tracker,
     record_improvement,
 )
 
@@ -77,6 +78,14 @@ class TestPoolConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             PoolConfig(**kwargs)
+
+    def test_huge_band_width_is_named_when_std_is_defaulted(self):
+        # the default gaussian_std, 2 band widths, overflows to inf
+        with pytest.raises(ConfigError, match="^band_width 1e\\+308 is too large"):
+            PoolConfig(band_width=1e308)
+        with pytest.raises(ConfigError, match="^gaussian_std must be"):
+            PoolConfig(band_width=1.0, gaussian_std=math.inf)
+        assert PoolConfig(band_width=1e308, gaussian_std=1.0).gaussian_std == 1.0
 
 
 class TestInitPool:
@@ -136,7 +145,8 @@ def reference_mutate(parent, config, rng, current_gen, ms_span=None):
     if config.shortening_enabled and len(parent.values) > 1:
         extend = rng.random() < config.mutation_extend_prob
     if extend:
-        values = parent.values + (random_estimate(config, rng),)
+        value = band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
+        values = parent.values + (value,)
         best_sf, best_ml = parent.best_sf, parent.best_ml
     else:
         positions = range(len(parent.values))
@@ -378,21 +388,21 @@ class TestRegulation:
         assert homeostasis(pool, config, random.Random(0)) == pool
 
 
-class TestRandomEstimate:
+class TestRandomTracker:
     def test_on_grid_and_deterministic(self):
         config = PoolConfig(band_width=0.5, gaussian_mean=1.0, gaussian_std=0.5)
         first = random.Random(42)
         second = random.Random(42)
-        draws = [random_estimate(config, first) for _ in range(200)]
-        assert draws == [random_estimate(config, second) for _ in range(200)]
-        for v in draws:
+        draws = [random_tracker(config, first).values for _ in range(200)]
+        assert draws == [random_tracker(config, second).values for _ in range(200)]
+        for v in sum(draws, ()):
             assert v == 0.0 or (abs(v) / 0.5) == pytest.approx(round(abs(v) / 0.5))
 
     def test_matches_exactly_after_banding(self):
         # a banded draw binds exactly against a banded antigen value
         config = PoolConfig(band_width=0.5, gaussian_mean=1.0, gaussian_std=0.1)
         rng = random.Random(0)
-        draws = {random_estimate(config, rng) for _ in range(100)}
+        draws = {v for _ in range(100) for v in random_tracker(config, rng).values}
         assert draws <= {0.5, 1.0, 1.5}
         for v in draws:
             assert longest_match((v,), (v,)).ms == (v,)
