@@ -1,7 +1,7 @@
 """Command line surface.
 
 Subcommands:
-  oracle         exact repeated-trend enumeration for an antigen
+  oracle         every repeated trend of an antigen, with its exact count
   run            seeded batch of a built-in experiment preset
   random-search  one-shot random population baseline
   detect         encode a price CSV and run a single presentation phase
@@ -20,6 +20,8 @@ import math
 import os
 import random
 import sys
+from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 from .baseline import random_search
@@ -33,7 +35,7 @@ from .engine import (
     preset_spec,
     run_batch,
 )
-from .matching import count_occurrences, enumerate_trends
+from .matching import enumerate_trends
 from .population import PoolConfig
 from .report import (
     detection_table,
@@ -119,9 +121,11 @@ def _config_from_args(args, base: PoolConfig) -> PoolConfig:
 
 
 def cmd_oracle(args):
-    antigen = parse_antigen(args.antigen)
-    for trend in trend_order(enumerate_trends(antigen)):
-        print(f"{format_seq(trend)}  x{count_occurrences(trend, antigen)}")
+    seq = parse_antigen(args.antigen).seq
+    for length, trends in groupby(trend_order(enumerate_trends(seq)), len):
+        counts = Counter(seq[i : i + length] for i in range(len(seq) - length + 1))
+        for trend in trends:
+            print(f"{format_seq(trend)}  x{counts[trend]}")
 
 
 def cmd_run(args):

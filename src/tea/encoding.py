@@ -11,6 +11,7 @@ bands the antigen and every random draw of the trackers alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,10 +67,18 @@ def band(delta: float, width: float) -> float:
     Zero stays zero; positive deltas go up to the next multiple,
     negative deltas down to the previous one, so the magnitude never
     shrinks: a $0.40 rise bands to $1, a -$0.30 move with width $0.5
-    bands to -$0.5.  A non-finite change, or one whose quotient by the
-    width overflows, raises EncodingError.
+    bands to -$0.5.  A non-finite change, or one whose band would pass
+    the largest float, raises EncodingError.
     """
     return banding(width)(delta)
+
+
+def _far_point(steps: int, width: float) -> float:
+    """Grid point steps of width, past the kept ones; OverflowError past the largest float."""
+    point = round(steps * width, 9)  # an int at an int width, so compared exactly
+    if point > sys.float_info.max:
+        raise OverflowError
+    return point
 
 
 @lru_cache(maxsize=16, typed=True)  # typed: an int width prints as an int
@@ -77,7 +86,8 @@ def banding(width: float):
     """band at one width, checked once, as a function of the delta (first 64 grid points kept)."""
     if not (math.isfinite(width) and width > 0):
         raise EncodingError(f"band width must be positive and finite, got {width}")
-    points = [round(k * width, 9) for k in range(64)]
+    # a grid point past the largest float is left out, so indexing it fails
+    points = [p for p in (round(k * width, 9) for k in range(64)) if p <= sys.float_info.max]
 
     def band_at(delta: float) -> float:
         if delta == 0:
@@ -85,16 +95,16 @@ def banding(width: float):
         q = abs(delta) / width
         try:
             steps = math.ceil(q)
-        except (OverflowError, ValueError):  # q is infinite or nan
+            # round() absorbs float noise in the quotient so banding is
+            # idempotent on its own outputs (e.g. widths like 0.1).  Rounding
+            # q to 9 places moves its ceiling only when q lies just above an
+            # integer, and max(1, ...) matters only when q underflows to 0,
+            # so only those quotients take the rounded path.
+            if steps == 0 or q - (steps - 1) < 1e-6:
+                steps = max(1, math.ceil(round(q, 9)))
+            return math.copysign(points[steps] if steps < 64 else _far_point(steps, width), delta)
+        except (OverflowError, ValueError, IndexError):  # q is infinite or nan, or no grid point
             raise EncodingError(f"price change {delta} has no band at width {width}") from None
-        # round() absorbs float noise in the quotient so banding is
-        # idempotent on its own outputs (e.g. widths like 0.1).  Rounding q
-        # to 9 places moves its ceiling only when q lies just above an
-        # integer, and max(1, ...) matters only when q underflows to 0, so
-        # only those quotients take the rounded path.
-        if steps == 0 or q - (steps - 1) < 1e-6:
-            steps = max(1, math.ceil(round(q, 9)))
-        return math.copysign(points[steps] if steps < 64 else round(steps * width, 9), delta)
 
     return band_at
 

@@ -14,8 +14,8 @@ and mutate hands out one object per child state in a generation.
 
 Every fresh value is a Gaussian draw banded with the band function of
 the config's width (encoding.banding).  random_values streams the value
-tuples of random naive trackers in draw order; init_pool, random_tracker
-and the random-search baseline take theirs from it.
+tuples of random naive trackers in draw order; init_pool and the
+random-search baseline take theirs from it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ MEMORY_CLONE = "memory-clone"
 # would exhaust memory or stall a run before it starts.  The presets use
 # 1-40.
 MAX_POOL_SETTING = 100_000
+
+# Upper bound on init_size * init_len_max, the values the initial pool
+# (or a re-seed) may draw at once: the two settings are each bounded
+# above, but not their product.  Two million values is a small share of
+# what engine.MAX_POOL trackers take.
+MAX_INIT_VALUES = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -74,6 +80,11 @@ class PoolConfig:
             )
         if not 1 <= self.init_len_min <= self.init_len_max:
             raise ConfigError("bad initial length range")
+        if self.init_size * self.init_len_max > MAX_INIT_VALUES:
+            raise ConfigError(
+                f"init_size * init_len_max must be <= {MAX_INIT_VALUES}, got "
+                f"{self.init_size} * {self.init_len_max}"
+            )
         if not (math.isfinite(self.band_width) and self.band_width > 0):
             raise ConfigError("band_width must be positive and finite")
         if self.gaussian_std is None:
@@ -114,10 +125,6 @@ def random_values(config: PoolConfig, rng: random.Random, n: int):
     mean, std = config.gaussian_mean, config.gaussian_std
     for _ in range(n):
         yield tuple([band_at(gauss(mean, std)) for _ in range(randint(lo, hi))])
-
-
-def random_tracker(config, rng) -> Tracker:
-    return Tracker(next(random_values(config, rng, 1)))
 
 
 def init_pool(config: PoolConfig, rng: random.Random) -> list[Tracker]:
@@ -163,8 +170,8 @@ def mutate(
     rng: random.Random,
     current_gen: int,
     n: int,
-    ms_span: tuple[int, int] | None = None,
-    born: dict | None = None,
+    ms_span: tuple[int, int],
+    born: dict,
 ) -> list[Tracker]:
     """The n mutated clones of one proliferation event, in draw order.
 
@@ -184,12 +191,11 @@ def mutate(
 
     Every clone draws as if made alone (rng.random(), then gauss or
     randrange).  Clones in the same state are one object: within the
-    call, and across the calls of one generation that pass the same
-    born table (see intern).  Such calls reuse the children a parent
+    call, and across the calls of one generation, which share the born
+    table (see intern).  Such calls reuse the children a parent
     already had, so within a table a parent must keep its ms_span, as it
     does in a generation, where the span follows from its values.
     """
-    born = {} if born is None else born
     values = parent.values
     can_shorten = config.shortening_enabled and len(values) > 1
     extend_prob, band_at = config.mutation_extend_prob, banding(config.band_width)
@@ -197,9 +203,8 @@ def mutate(
     best_sf, best_ml = parent.best_sf, parent.best_ml
     children = born.get(parent)
     if children is None:
-        positions = range(len(values))
-        if ms_span is not None:  # the redundant positions, if any
-            positions = [i for i in positions if not ms_span[0] <= i < ms_span[1]] or positions
+        positions = range(len(values))  # the redundant ones, if any
+        positions = [i for i in positions if not ms_span[0] <= i < ms_span[1]] or positions
         # appended value -> child, dropped position -> child, droppable positions
         children = born[parent] = ({}, {}, positions)
     extended, shortened, positions = children

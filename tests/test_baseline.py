@@ -11,7 +11,7 @@ from tea.encoding import PricePoint, band, encode
 from tea.engine import ANTIGEN_A, preset_config
 from tea.matching import enumerate_trends, longest_match
 from tea.memory import MemoryPool
-from tea.population import PoolConfig, init_pool, random_tracker
+from tea.population import PoolConfig, init_pool, random_values
 
 CONFIG = PoolConfig(band_width=0.5, gaussian_mean=1.2, gaussian_std=0.5, init_len_min=2)
 
@@ -73,9 +73,9 @@ class TestAgainstReferenceDraws:
         config = REFERENCE_CONFIGS[name]
         rng, ref_rng = random.Random(9), random.Random(9)
         pool = init_pool(config, rng)
-        singles = [random_tracker(config, rng) for _ in range(size // 10)]
+        singles = list(random_values(config, rng, size // 10))
         expected = [reference_values(config, ref_rng) for _ in range(config.init_size + size // 10)]
-        assert [t.values for t in pool + singles] == expected
+        assert [t.values for t in pool] + singles == expected
         assert rng.getstate() == ref_rng.getstate()
 
 

@@ -1,5 +1,7 @@
 """Command line interface, including byte-identical reruns."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tea.cli
 import tea.engine
 from tea.cli import main, parse_antigen, read_prices
+from tea.matching import count_occurrences, enumerate_trends
+from tea.report import format_seq, trend_order
 
 # keeps CLI runs fast: tiny bursts, short schedule is still the preset's
 FAST_CFG = """
@@ -75,6 +80,22 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "[1e+308,-1e+308]  x2" in out
         assert max(len(line) for line in out.splitlines()) < 80
+
+    @given(
+        row=st.lists(st.sampled_from(["-0", "0", "0.0", "1", "-1", "2.5"]), min_size=1, max_size=60)
+    )
+    @settings(max_examples=200)
+    def test_counts_equal_a_scan_per_trend(self, row):
+        # -0 and 0 are one value, so each trend's count is count_occurrences'
+        seq = tuple(map(float, row))
+        expected = "".join(
+            f"{format_seq(t)}  x{count_occurrences(t, seq)}\n"
+            for t in trend_order(enumerate_trends(seq))
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["oracle", "--", ",".join(row)]) == 0
+        assert out.getvalue() == expected
 
 
 class TestShowConfig:
@@ -425,6 +446,8 @@ class TestTopLevel:
                 "init_size = 1000000000\n",
                 "clone_factor = 1000000000\n",
                 "bind_threshold = inf\n",
+                # each setting is within its bound; together they ask for 10**10 values
+                "init_size = 100000\ninit_len_min = 100000\ninit_len_max = 100000\n",
             ]
         ],
     )

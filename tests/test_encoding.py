@@ -1,6 +1,7 @@
 """Banding and price-series encoding."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,10 @@ def reference_band(delta, width):
         steps = max(1, math.ceil(round(abs(delta) / width, 9)))
     except (OverflowError, ValueError):  # the quotient is infinite or nan
         raise EncodingError(f"price change {delta} has no band at width {width}") from None
-    return math.copysign(round(steps * width, 9), delta)
+    point = round(steps * width, 9)
+    if point > sys.float_info.max:  # the grid point passes the largest float
+        raise EncodingError(f"price change {delta} has no band at width {width}")
+    return math.copysign(point, delta)
 
 
 @st.composite
@@ -114,17 +118,26 @@ class TestBand:
     @settings(max_examples=500)
     def test_equals_reference_formula_and_errors(self, delta, width):
         # any float or int on both sides: the same value, or the same error
-        # and message.  A grid point past the largest float is inf at a float
-        # width and an OverflowError at an int width, on both sides alike.
+        # and message.  A grid point past the largest float is an
+        # EncodingError at float and int widths alike, on both sides.
         try:
             expected = reference_band(delta, width)
-        except (EncodingError, OverflowError) as exc:
+        except EncodingError as exc:
             with pytest.raises(type(exc)) as raised:
                 band(delta, width)
             assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
             return
         out = band(delta, width)
         assert out == expected and math.copysign(1, out) == math.copysign(1, expected)
+
+    @pytest.mark.parametrize(
+        "delta,width",
+        [(1.5e308, 1e308), (-1.5e308, 1e308), (sys.float_info.max, 3.0), (sys.float_info.max, 3)],
+    )
+    def test_grid_point_past_the_largest_float_has_no_band(self, delta, width):
+        with pytest.raises(EncodingError) as raised:
+            band(delta, width)
+        assert str(raised.value) == f"price change {delta} has no band at width {width}"
 
     def test_messages_name_the_width_as_given(self):
         # an int width, a bool one included, prints as given, whatever equal

@@ -17,7 +17,7 @@ from tea.matching import (
     enumerate_trends,
     longest_match,
 )
-from tea.population import PoolConfig, random_tracker
+from tea.population import PoolConfig, random_values
 
 T1 = (1.0, 2.0)
 T2 = (1.0, 2.0, 1.0)
@@ -211,7 +211,7 @@ class TestExactBinding:
             closes.append(closes[-1] + rng.gauss(0.0, 1.0))
         antigen = tuple(band(b - a, 0.5) for a, b in zip(closes, closes[1:]))
         config = PoolConfig(band_width=0.5)
-        trackers = [random_tracker(config, rng).values for _ in range(200)]
+        trackers = list(random_values(config, rng, 200))
         for _ in range(100):
             start = rng.randrange(len(antigen) - 8)
             stretch = list(antigen[start : start + rng.randint(1, 8)])

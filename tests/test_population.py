@@ -11,6 +11,7 @@ from tea.matching import MatchResult, longest_match
 from tea.population import (
     CLONE,
     MEMORY_CLONE,
+    MAX_INIT_VALUES,
     MAX_POOL_SETTING,
     NAIVE,
     ConfigError,
@@ -23,7 +24,7 @@ from tea.population import (
     init_pool,
     mutate,
     proliferation_check,
-    random_tracker,
+    random_values,
     record_improvement,
 )
 
@@ -78,6 +79,17 @@ class TestPoolConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             PoolConfig(**kwargs)
+
+    def test_initial_draw_is_bounded(self):
+        # each setting is within MAX_POOL_SETTING; their product is 10**10 values
+        with pytest.raises(ConfigError) as raised:
+            PoolConfig(init_size=100_000, init_len_min=100_000, init_len_max=100_000)
+        assert str(raised.value) == (
+            "init_size * init_len_max must be <= 2000000, got 100000 * 100000"
+        )
+        PoolConfig(init_size=MAX_INIT_VALUES // 100, init_len_max=100)  # at the bound
+        with pytest.raises(ConfigError):
+            PoolConfig(init_size=MAX_INIT_VALUES // 100 + 1, init_len_max=100)
 
     def test_huge_band_width_is_named_when_std_is_defaulted(self):
         # the default gaussian_std, 2 band widths, overflows to inf
@@ -139,7 +151,7 @@ class TestProliferation:
         assert clone_count(self.match(sf=2, ml=2), PoolConfig()) == 2
 
 
-def reference_mutate(parent, config, rng, current_gen, ms_span=None):
+def reference_mutate(parent, config, rng, current_gen, ms_span):
     """The one-clone-per-call mutate that mutate(..., n) replaces."""
     extend = True
     if config.shortening_enabled and len(parent.values) > 1:
@@ -150,11 +162,10 @@ def reference_mutate(parent, config, rng, current_gen, ms_span=None):
         best_sf, best_ml = parent.best_sf, parent.best_ml
     else:
         positions = range(len(parent.values))
-        if ms_span is not None:
-            lo, hi = ms_span
-            redundant = [i for i in positions if not lo <= i < hi]
-            if redundant:
-                positions = redundant
+        lo, hi = ms_span
+        redundant = [i for i in positions if not lo <= i < hi]
+        if redundant:
+            positions = redundant
         drop = positions[rng.randrange(len(positions))]
         values = parent.values[:drop] + parent.values[drop + 1 :]
         best_sf = best_ml = 0
@@ -187,7 +198,7 @@ class TestMutate:
     def test_extension_appends_banded_value_and_inherits_record(self):
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=1.0)
-        children = mutate(parent, config, random.Random(0), 3, 4)
+        children = mutate(parent, config, random.Random(0), 3, 4, (0, 0), {})
         assert len(children) == 4
         for child in children:
             assert child.values[:2] == parent.values
@@ -199,7 +210,7 @@ class TestMutate:
     def test_shortening_resets_record(self):
         parent = make_tracker((1.0, 2.0, -0.5), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=0.0)
-        children = mutate(parent, config, random.Random(0), 3, 3)
+        children = mutate(parent, config, random.Random(0), 3, 3, (0, 0), {})
         assert len(children) == 3
         for child in children:
             assert len(child.values) == 2
@@ -209,7 +220,7 @@ class TestMutate:
         parent = make_tracker((9.0, 1.0, 2.0, 9.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
         for seed in range(20):
-            for child in mutate(parent, config, random.Random(seed), 1, 3, ms_span=(1, 3)):
+            for child in mutate(parent, config, random.Random(seed), 1, 3, (1, 3), {}):
                 # the matched window [1,2] always survives
                 assert child.values in {(1.0, 2.0, 9.0), (9.0, 1.0, 2.0)}
 
@@ -219,21 +230,21 @@ class TestMutate:
         seen = {
             child.values
             for s in range(30)
-            for child in mutate(parent, config, random.Random(s), 1, 2, ms_span=(0, 2))
+            for child in mutate(parent, config, random.Random(s), 1, 2, (0, 2), {})
         }
         assert seen == {(1.0,), (2.0,)}
 
     def test_length_one_parent_always_extends(self):
         parent = make_tracker((1.0,))
         config = PoolConfig(mutation_extend_prob=0.0)
-        children = mutate(parent, config, random.Random(0), 1, 3)
+        children = mutate(parent, config, random.Random(0), 1, 3, (0, 0), {})
         assert [len(child.values) for child in children] == [2, 2, 2]
 
     def test_shortening_disabled_always_extends(self):
         parent = make_tracker((1.0, 2.0, 3.0))
         config = PoolConfig(mutation_extend_prob=0.0, shortening_enabled=False)
         for seed in range(10):
-            for child in mutate(parent, config, random.Random(seed), 1, 3):
+            for child in mutate(parent, config, random.Random(seed), 1, 3, (0, 0), {}):
                 assert len(child.values) == 4
 
     @given(
@@ -246,7 +257,7 @@ class TestMutate:
     def test_never_empty_and_length_changes_by_one(self, length, seed, extend_prob, n):
         parent = make_tracker(tuple(float(i) for i in range(length)))
         config = PoolConfig(mutation_extend_prob=extend_prob)
-        children = mutate(parent, config, random.Random(seed), 1, n)
+        children = mutate(parent, config, random.Random(seed), 1, n, (0, 0), {})
         assert len(children) == n
         for child in children:
             assert len(child.values) >= 1
@@ -254,7 +265,7 @@ class TestMutate:
 
     @given(
         values=st.lists(st.sampled_from([-0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=7),
-        span=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7)).map(sorted).map(tuple),
+        span=st.tuples(st.integers(0, 7), st.integers(0, 7)).map(sorted).map(tuple),
         record=st.tuples(st.integers(0, 5), st.integers(0, 5)),
         n=st.integers(1, 12),
         seed=st.integers(0, 10_000),
@@ -274,7 +285,7 @@ class TestMutate:
             shortening_enabled=shortening,
         )
         rng, twin = random.Random(seed), random.Random(seed)
-        children = mutate(parent, config, rng, 4, n, span)
+        children = mutate(parent, config, rng, 4, n, span, {})
         expected = [reference_mutate(parent, config, twin, 4, span) for _ in range(n)]
         assert [state(c) for c in children] == [state(e) for e in expected]
         assert rng.getstate() == twin.getstate()
@@ -299,7 +310,7 @@ class TestMutate:
             (make_tracker((1.0, 2.0, 1.0), best_sf=2, best_ml=2, gen=4), (0, 2)),
             (make_tracker((1.0, 2.0, 1.0), origin=CLONE, best_sf=2, best_ml=2, gen=4), (0, 2)),
             (make_tracker((1.0, 2.0, 1.0), best_sf=3, best_ml=2, gen=4), (0, 2)),
-            (make_tracker((2.0, 1.0, 2.0), best_sf=2, best_ml=2, gen=4), None),
+            (make_tracker((2.0, 1.0, 2.0), best_sf=2, best_ml=2, gen=4), (0, 0)),
         ]
         config = PoolConfig(band_width=0.5, gaussian_mean=1.0, mutation_extend_prob=0.5)
         rng, twin = random.Random(seed), random.Random(seed)
@@ -307,7 +318,7 @@ class TestMutate:
         shared, alone = [], []
         for parent, span in (parents[i] for i in picks):
             shared += mutate(parent, config, rng, 4, n, span, born)
-            alone += mutate(parent, config, twin, 4, n, span)
+            alone += mutate(parent, config, twin, 4, n, span, {})
         assert [state(c) for c in shared] == [state(c) for c in alone]
         assert rng.getstate() == twin.getstate()
         assert len({id(c) for c in shared}) == len({state(c) for c in shared})
@@ -393,8 +404,8 @@ class TestRandomTracker:
         config = PoolConfig(band_width=0.5, gaussian_mean=1.0, gaussian_std=0.5)
         first = random.Random(42)
         second = random.Random(42)
-        draws = [random_tracker(config, first).values for _ in range(200)]
-        assert draws == [random_tracker(config, second).values for _ in range(200)]
+        draws = list(random_values(config, first, 200))
+        assert draws == list(random_values(config, second, 200))
         for v in sum(draws, ()):
             assert v == 0.0 or (abs(v) / 0.5) == pytest.approx(round(abs(v) / 0.5))
 
@@ -402,7 +413,7 @@ class TestRandomTracker:
         # a banded draw binds exactly against a banded antigen value
         config = PoolConfig(band_width=0.5, gaussian_mean=1.0, gaussian_std=0.1)
         rng = random.Random(0)
-        draws = {v for _ in range(100) for v in random_tracker(config, rng).values}
+        draws = {v for values in random_values(config, rng, 100) for v in values}
         assert draws <= {0.5, 1.0, 1.5}
         for v in draws:
             assert longest_match((v,), (v,)).ms == (v,)
