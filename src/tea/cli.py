@@ -47,12 +47,17 @@ from .report import (
 )
 
 
+def _row(text: str) -> tuple[float, ...]:
+    """The values of a comma-separated row; ValueError if it is none."""
+    return tuple(float(v) for v in text.split(","))
+
+
 def parse_antigen(text: str) -> Antigen:
     """A fixture name (A, A1, A2) or a comma-separated pre-banded row."""
     if text in FIXTURES:
         return FIXTURES[text]
     try:
-        values = tuple(float(v) for v in text.split(","))
+        values = _row(text)
     except ValueError:
         raise ValueError(
             f"{text!r} is neither a named antigen ({', '.join(FIXTURES)}) "
@@ -177,8 +182,23 @@ def cmd_detect(args):
     _emit_batch(runs, spec.truth, args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a value row such as -1,2,-1,2 is an argument, not an option.
+
+    argparse reads only a single negative number as an argument; a row
+    that starts with a minus sign would otherwise need `--` or `--antigen=`.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            _row(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tea", description="Immune-memory-inspired price trend detection"
     )
     parser.add_argument(

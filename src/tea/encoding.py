@@ -45,6 +45,14 @@ class Antigen:
         return len(self.seq)
 
 
+def finite(value: float) -> bool:
+    """math.isfinite, but False for an int past the largest float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def price_changes(series: list[PricePoint]) -> list[float]:
     """Close-to-close deltas in chronological order.
 
@@ -84,7 +92,7 @@ def _far_point(steps: int, width: float) -> float:
 @lru_cache(maxsize=16, typed=True)  # typed: an int width prints as an int
 def banding(width: float):
     """band at one width, checked once, as a function of the delta (first 64 grid points kept)."""
-    if not (math.isfinite(width) and width > 0):
+    if not (finite(width) and width > 0):
         raise EncodingError(f"band width must be positive and finite, got {width}")
     # a grid point past the largest float is left out, so indexing it fails
     points = [p for p in (round(k * width, 9) for k in range(64)) if p <= sys.float_info.max]

@@ -21,17 +21,22 @@ generation hands out one object per state it creates (clones and
 improved parents alike).  Most positions repeat a tracker already in
 the pool.  A generation decides bind and proliferation once per
 distinct tracker, then makes one proliferation event, with its draws,
-per position whose tracker improved, in pool order.  Binding runs at
-most once per distinct value tuple in each generation, and every
-tracker with that tuple gets the same frozen MatchResult; when that
-match is no trend match, the trackers skip the proliferation check,
-which it could never pass.  Within a phase a tuple keeps its last match
-unless one of its values lies within the bind threshold of the value the
-prefix just gained: every new window ends in that value, so none can
-bind the tuple, tie with its match or add to its SF.  Observation
-counts the pool by tracker and tests each distinct tuple against the
-true trends once per run.  Neither binding nor observation draws random
-numbers, so sharing their results leaves the draw order unchanged.
+per position whose tracker improved, in pool order.
+
+Binding is a function of the value tuple and the presented prefix
+alone, so the runs of a batch share it: each phase keeps one bind table
+per prefix length, which maps a tuple to its immutable MatchResult, or
+to False when the match is no trend match (such trackers skip the
+proliferation check, which they could never pass).  A tuple absent
+from its prefix's table takes its entry from the previous prefix's
+table unless one of its values lies within the bind threshold of the
+value the prefix just gained: every new window ends in that value, so
+none can bind the tuple, tie with its match or add to its SF.  Only
+then is it bound.  Observation counts the pool by tracker; the trends a
+tuple contains are its windows of length two or more that are true
+trends, found once per batch.  Neither binding nor observation draws
+random numbers, so sharing their results leaves the draw order, and
+every run, as it would be alone.
 """
 
 from __future__ import annotations
@@ -43,7 +48,10 @@ from itertools import compress
 from operator import is_not
 
 from .encoding import Antigen, CategorySeq
-from .matching import count_occurrences, enumerate_trends, longest_match
+# count_occurrences is no longer called here, but the benchmark's tracer
+# (perfbench/spans.py) wraps engine.count_occurrences by name; it leaves
+# with ROADMAP item 1's benchmark follow-up
+from .matching import count_occurrences, enumerate_trends, longest_match  # noqa: F401
 from .memory import MemoryPool
 from .population import (
     PoolConfig,
@@ -165,25 +173,36 @@ class RunStats:
 def _matching_counts(pool: list[Tracker], truth, contains: dict) -> dict[CategorySeq, int]:
     """Trackers containing each trend, counting the pool by tracker object.
 
-    contains maps a value tuple to the trends of truth it contains; it
-    is filled on a miss and may be shared by every call with the same truth.
+    contains maps a value tuple to the positions, in truth's own order,
+    of the trends it contains.  It is filled on a miss, and may be shared
+    by every call with the same truth object, whose order never changes.
     """
-    counts = dict.fromkeys(truth, 0)
+    trends = tuple(truth)
+    counts = [0] * len(trends)
+    position = None  # trend -> its position in trends, made at the first miss
     for tracker, n in Counter(pool).items():
         values = tracker.values
-        found = contains.get(values)
-        if found is None:
-            found = contains[values] = tuple(t for t in truth if count_occurrences(t, values))
-        for trend in found:
-            counts[trend] += n
-    return counts
+        held = contains.get(values)
+        if held is None:
+            if position is None:
+                position = {trend: i for i, trend in enumerate(trends)}
+                longest = max(map(len, trends), default=0)
+            # a trend the tuple contains is one of its windows of length 2 to longest
+            size = len(values)
+            windows = {
+                values[i:j] for i in range(size - 1) for j in range(i + 2, min(size, i + longest) + 1)
+            }
+            held = contains[values] = tuple(position[t] for t in position.keys() & windows)
+        for i in held:
+            counts[i] += n
+    return dict(zip(trends, counts))
 
 
 def run_generation(
     pool: list[Tracker],
     memory: MemoryPool,
     presented: CategorySeq | None,
-    matches: dict,
+    tables: dict,
     config: PoolConfig,
     rng: random.Random,
     gen: int,
@@ -191,9 +210,12 @@ def run_generation(
 ) -> list[Tracker]:
     """One generation: bind/proliferate (if presenting), then regulate.
 
-    matches maps a value tuple to its bind against the previous prefix
-    of this phase (empty at the phase's first generation); a presenting
-    generation replaces its contents with the binds of its own pool.
+    tables maps each prefix length of the current phase to its bind
+    table: a value tuple to its bind against that prefix, or to False
+    for a bind that is no trend match.  A presenting generation reads
+    and fills the tables of its prefix and of the one before; any run
+    of a batch may have written them, as binding is a function of the
+    tuple and the prefix alone.  Given empty tables, it binds afresh.
     Raises PoolLimitError, before making its clones, as soon as a
     proliferation event would take the pool past MAX_POOL.  Every
     tracker born here (clones, homeostasis copies, a re-seed) is added
@@ -201,28 +223,28 @@ def run_generation(
     """
     if presented is not None:
         clones = []
-        # one bind per distinct value tuple, unless its last one carries
-        # over; a bind that is no trend match is kept as False, since no
-        # tracker carrying it can pass proliferation_check
-        carried = matches.copy()
-        matches.clear()
+        # one bind per distinct value tuple, unless the tuple's bind to the
+        # previous prefix carries over: none of its values lies within the
+        # threshold of the new one
+        matches = tables.setdefault(len(presented), {})
+        carried = tables.get(len(presented) - 1, {})
         new, threshold = presented[-1], config.bind_threshold
         born = {}  # this generation's birth table (see population.intern)
-        successor = dict.fromkeys(pool)  # tracker -> itself improved, or itself
-        for tracker in successor:
+        improved = {}  # tracker -> itself improved
+        for tracker in dict.fromkeys(pool):
             values = tracker.values
             match = matches.get(values)
             if match is None:
                 match = carried.get(values)
-                if match is None or any(abs(v - new) <= threshold for v in values):
+                if match is None or (
+                    any(abs(v - new) <= threshold for v in values) if threshold else new in values
+                ):
                     match = longest_match(values, presented, threshold)
                     match = match.is_trend_match and match
                 matches[values] = match
             if match and proliferation_check(tracker, match):
-                successor[tracker] = intern(record_improvement(tracker, match, gen), born)
-            else:
-                successor[tracker] = tracker
-        parents = list(map(successor.__getitem__, pool))
+                improved[tracker] = intern(record_improvement(tracker, match, gen), born)
+        parents = list(map(improved.get, pool, pool))
         considered = set()  # cells only shrink, so memory would reject a parent's repeats
         # one proliferation event per position whose tracker improved, in pool order
         for parent in compress(parents, map(is_not, parents, pool)):
@@ -249,39 +271,60 @@ def run_generation(
     return pool
 
 
-def run_experiment(spec: ExperimentSpec, config: PoolConfig, seed: int) -> RunStats:
-    """A full seeded run of one experiment schedule."""
+def run_experiment(
+    spec: ExperimentSpec,
+    config: PoolConfig,
+    seed: int,
+    binds: dict | None = None,
+    contains: dict | None = None,
+) -> RunStats:
+    """A full seeded run of one experiment schedule.
+
+    binds maps each phase's start generation to the phase's bind tables
+    (see run_generation), and contains maps a value tuple to the true
+    trends it contains (see _matching_counts).  run_batch hands the same
+    two to all its runs; left out, they start empty and last for this
+    run only.
+    """
+    binds = {} if binds is None else binds
+    contains = {} if contains is None else contains
     rng = random.Random(seed)
     pool = init_pool(config, rng)
     initial_snapshot = list(pool)
     memory = MemoryPool()
     stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
-    contains = {}  # value tuple -> trends of spec.truth it contains, for the whole run
-    matches = {}  # value tuple -> its bind against the last prefix, for one phase
+    tables = {}  # the bind tables of the current phase
 
     for gen in range(1, spec.total_generations + 1):
         phase = spec.phase_at(gen)
         presented = None
         if phase is not None:
             if gen == phase.start_gen:
-                matches = {}
+                tables = binds.setdefault(gen, {})
                 if phase.pool_action_at_start == POOL_ACTION_RESET:
                     pool = list(initial_snapshot)
                 elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
                     pool = memory.feedback_clones(config, rng)
                     stats.total_created += len(pool)
             presented = phase.presented(gen)
-        pool = run_generation(pool, memory, presented, matches, config, rng, gen, stats)
+        pool = run_generation(pool, memory, presented, tables, config, rng, gen, stats)
         matching = _matching_counts(pool, spec.truth, contains)
         stats.records.append(GenRecord(gen, len(pool), matching))
     return stats
 
 
 def run_batch(spec: ExperimentSpec, config: PoolConfig, n_runs: int, base_seed: int = 0) -> list[RunStats]:
-    """Independent runs seeded base_seed .. base_seed + n_runs - 1."""
+    """Independent runs seeded base_seed .. base_seed + n_runs - 1.
+
+    The runs share their bind tables and the true trends of each value
+    tuple (see run_experiment): a tuple one run bound to a prefix is not
+    bound again by the next.  Neither draws random numbers, so each run
+    equals the same seed run alone.
+    """
     if n_runs < 1:
         raise SpecError("n_runs must be >= 1")
-    return [run_experiment(spec, config, base_seed + i) for i in range(n_runs)]
+    binds, contains = {}, {}
+    return [run_experiment(spec, config, base_seed + i, binds, contains) for i in range(n_runs)]
 
 
 def preset_config() -> PoolConfig:

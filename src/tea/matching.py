@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .encoding import Antigen, CategorySeq
 
@@ -38,8 +38,8 @@ class MatchingError(ValueError):
     """Raised for empty patterns or trackers."""
 
 
-@dataclass(frozen=True)
-class MatchResult:
+# A NamedTuple: as immutable as a frozen dataclass, and far cheaper to make.
+class MatchResult(NamedTuple):
     ms: CategorySeq
     sf: int
     ml: int
@@ -110,7 +110,9 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
         length, table, starts = length + 1, longer, kept
     if not length:
         return MatchResult(ms=(), sf=0, ml=0, redundancy=len(tvals))
-    ts = min(starts, key=lambda i: (-table[tvals[i : i + length]][0], i))
+    ts = starts[0]
+    if len(starts) > 1:
+        ts = min(starts, key=lambda i: (-table[tvals[i : i + length]][0], i))
     sf, first = table[tvals[ts : ts + length]]
     # the MS is read from the antigen, so it keeps the antigen's -0.0 or int
     return MatchResult(

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .encoding import banding
+from .encoding import banding, finite
 from .matching import MatchResult
 
 log = logging.getLogger(__name__)
@@ -85,17 +85,17 @@ class PoolConfig:
                 f"init_size * init_len_max must be <= {MAX_INIT_VALUES}, got "
                 f"{self.init_size} * {self.init_len_max}"
             )
-        if not (math.isfinite(self.band_width) and self.band_width > 0):
-            raise ConfigError("band_width must be positive and finite")
+        if not (finite(self.band_width) and self.band_width > 0):
+            raise ConfigError(f"band_width must be positive and finite, got {self.band_width}")
         if self.gaussian_std is None:
             self.gaussian_std = 2.0 * self.band_width
             if math.isinf(self.gaussian_std):  # only band_width was set
                 raise ConfigError(
                     f"band_width {self.band_width:g} is too large for the default gaussian_std"
                 )
-        if not (math.isfinite(self.gaussian_std) and self.gaussian_std >= 0):
+        if not (finite(self.gaussian_std) and self.gaussian_std >= 0):
             raise ConfigError("gaussian_std must be non-negative and finite")
-        if not math.isfinite(self.gaussian_mean):
+        if not finite(self.gaussian_mean):
             raise ConfigError("gaussian_mean must be finite")
         if not 0.0 <= self.mutation_extend_prob <= 1.0:
             raise ConfigError("mutation_extend_prob must be in [0,1]")
@@ -103,7 +103,7 @@ class PoolConfig:
             raise ConfigError("apoptosis_rate must be in [0,1)")
         if self.clone_lifespan < 1:
             raise ConfigError("clone_lifespan must be >= 1")
-        if not (math.isfinite(self.bind_threshold) and self.bind_threshold >= 0):
+        if not (finite(self.bind_threshold) and self.bind_threshold >= 0):
             raise ConfigError("bind_threshold must be non-negative and finite")
 
 

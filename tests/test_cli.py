@@ -75,6 +75,12 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "[1,2]  x2" in out
 
+    def test_row_with_a_leading_minus_is_the_antigen(self, capsys):
+        # argparse alone reads -1,2,-1,2 as an unknown option
+        for argv in (["oracle", "-1,2,-1,2"], ["oracle", "--", "-1,2,-1,2"]):
+            assert main(argv) == 0
+            assert capsys.readouterr() == ("[-1,2]  x2\n", "")
+
     def test_huge_values_print_as_floats(self, capsys):
         assert main(["oracle", "1e308,-1e308,1e308,-1e308"]) == 0
         out = capsys.readouterr().out
@@ -263,6 +269,15 @@ class TestRandomSearch:
             b"4000,0,1,1,1,0,1,1,0,5\r\n"
             b"20000,1,1,1,1,0,1,1,0,6\r\n"
         )
+
+    def test_antigen_row_with_a_leading_minus(self, capsys):
+        for antigen in (["--antigen", "-0.5,1,-0.5,1"], ["--antigen=-0.5,1,-0.5,1"]):
+            assert main(["random-search", "--population-size", "200", "--seed", "1", *antigen]) == 0
+            assert capsys.readouterr() == (
+                "  pop size    [-0.5,1]    total\n"
+                "       200       x        1\n",
+                "",
+            )
 
     def test_negative_size_is_an_error_line(self, capsys):
         assert main(["random-search", "--population-size", "-5"]) == 2

@@ -149,6 +149,11 @@ class TestBand:
             with pytest.raises(EncodingError, match=f"got {width}$"):
                 band(1.0, width)
 
+    def test_int_width_past_the_float_range_is_named(self):
+        with pytest.raises(EncodingError) as raised:
+            band(1.0, 10**400)
+        assert str(raised.value) == f"band width must be positive and finite, got {10**400}"
+
     @pytest.mark.parametrize("width", [0.1, 0.3, 0.5, 1, 7])
     def test_equals_reference_formula_at_grid_edges(self, width):
         for k in range(-50, 51):

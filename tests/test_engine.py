@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tea import engine
 from tea.encoding import Antigen, EncodingError, band
@@ -518,6 +518,32 @@ class TestPoolActions:
         assert gen30.pool_size == FAST.min_pool
 
 
+@st.composite
+def small_specs(draw):
+    """1-3 phases over 2-10 value antigens from a 3-4 value alphabet.
+
+    A later phase may present the very antigen object of an earlier one.
+    """
+    values = st.sampled_from([-0.5, 0.5, 1.0, 1.5, 2.0])
+    alphabet = draw(st.lists(values, min_size=3, max_size=4, unique=True))
+    antigens, phases, gen = [], [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        if antigens and draw(st.booleans()):
+            antigen = draw(st.sampled_from(antigens))
+        else:
+            row = draw(st.lists(st.sampled_from(alphabet), min_size=2, max_size=10))
+            antigen = Antigen(tuple(row))
+            antigens.append(antigen)
+        action = draw(st.sampled_from(engine._POOL_ACTIONS))
+        phases.append(PresentationPhase(gen, antigen, pool_action_at_start=action))
+        gen = phases[-1].end_gen + 1 + draw(st.integers(0, 3))
+    return ExperimentSpec(phases, total_generations=gen + draw(st.integers(0, 3)))
+
+
+def run_outputs(stats):
+    return stats.records, stats.memory_events, stats.final_memory.to_rows(), stats.total_created
+
+
 class TestRunBatch:
     def test_consecutive_seeds(self):
         runs = run_batch(self.spec(), FAST, 3, base_seed=7)
@@ -526,6 +552,43 @@ class TestRunBatch:
     def test_rejects_empty_batch(self):
         with pytest.raises(SpecError):
             run_batch(self.spec(), FAST, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_specs(),
+        st.sampled_from([0.0, 0.5]),
+        st.booleans(),
+        st.integers(1, 4),
+        st.integers(0, 1000),
+    )
+    def test_each_run_equals_the_run_alone(self, spec, threshold, shortening, n_runs, seed):
+        # the runs of a batch share their binds and trend sets; none may move
+        config = dataclasses.replace(
+            FAST, init_size=8, min_pool=6, clone_lifespan=3,
+            bind_threshold=threshold, shortening_enabled=shortening,
+        )
+        runs = run_batch(spec, config, n_runs, seed)
+        for i, got in enumerate(runs):
+            assert run_outputs(got) == run_outputs(run_experiment(spec, config, seed + i))
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_experiment(preset_spec("exp2"), preset_config(), 3),
+        lambda: run_batch(preset_spec("exp2"), preset_config(), 3, 3),
+    ], ids=["run_experiment", "run_batch"])
+    def test_no_bind_outlives_its_call(self, monkeypatch, run):
+        # a second call binds as much as the first: it starts with empty tables
+        calls = []
+        bind = engine.longest_match
+
+        def counted(*args):
+            calls.append(1)
+            return bind(*args)
+
+        monkeypatch.setattr(engine, "longest_match", counted)
+        run()
+        first = len(calls)
+        run()
+        assert 0 < first == len(calls) - first
 
     @staticmethod
     def spec():

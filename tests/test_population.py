@@ -91,6 +91,11 @@ class TestPoolConfig:
         with pytest.raises(ConfigError):
             PoolConfig(init_size=MAX_INIT_VALUES // 100 + 1, init_len_max=100)
 
+    def test_int_band_width_past_the_float_range_is_named(self):
+        with pytest.raises(ConfigError) as raised:
+            PoolConfig(band_width=10**400)
+        assert str(raised.value) == f"band_width must be positive and finite, got {10**400}"
+
     def test_huge_band_width_is_named_when_std_is_defaulted(self):
         # the default gaussian_std, 2 band widths, overflows to inf
         with pytest.raises(ConfigError, match="^band_width 1e\\+308 is too large"):
