@@ -53,6 +53,14 @@ def finite(value: float) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """str(value), but an int too long for a decimal string is named by its bit count."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits"
+
+
 def price_changes(series: list[PricePoint]) -> list[float]:
     """Close-to-close deltas in chronological order.
 
@@ -93,7 +101,7 @@ def _far_point(steps: int, width: float) -> float:
 def banding(width: float):
     """band at one width, checked once, as a function of the delta (first 64 grid points kept)."""
     if not (finite(width) and width > 0):
-        raise EncodingError(f"band width must be positive and finite, got {width}")
+        raise EncodingError(f"band width must be positive and finite, got {shown(width)}")
     # a grid point past the largest float is left out, so indexing it fails
     points = [p for p in (round(k * width, 9) for k in range(64)) if p <= sys.float_info.max]
 

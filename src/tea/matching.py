@@ -8,14 +8,15 @@ stimulation factor SF and its length the match length ML.  Tracker
 values outside the MS are redundancy.
 
 Exact binding reads tables of the antigen's windows, one per window
-length, each mapping a window to its count and first start.  A tracker
-window can match only where its one-shorter prefix did, so the
-tracker's matching starts grow one length at a time until none is left.
-Only the antigen object bound last keeps its tables, so binding many
-trackers to one antigen builds each table once and never hashes the
-antigen; any other object, an equal tuple or a list included, starts
-afresh.  A loose threshold (bind_threshold > 0) binds by an n x m
-alignment DP.
+length, each mapping a window to its count and first start.  One pass
+over the tracker's starts finds ML: a start counts only if its window
+one longer than the best so far is in the table, and then grows while
+its next window is too, so no table past ML + 1 is built.  One scan at
+length ML keeps the first start with the highest SF.  Only the antigen
+object bound last keeps its tables, so binding many trackers to one
+antigen builds each table once and never hashes the antigen; any other
+object, an equal tuple or a list included, starts afresh.  A loose
+threshold (bind_threshold > 0) binds by an n x m alignment DP.
 
 The oracle lists every trend of an antigen: each contiguous window of
 length >= 2 that occurs at least twice (overlapping occurrences count).
@@ -99,26 +100,26 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     if avals is not held:
         tables = {}
         _held = (avals, tables)
-    length, table, starts = 0, None, range(len(tvals))
-    while length < len(tvals):
-        longer = tables.get(length + 1)
-        if longer is None:
-            longer = tables[length + 1] = _windows(avals, length + 1)
-        kept = [i for i in starts if tvals[i : i + length + 1] in longer]
-        if not kept:
+    n, ml = len(tvals), 0
+    for i in range(n):
+        if n - i <= ml:
             break
-        length, table, starts = length + 1, longer, kept
-    if not length:
-        return MatchResult(ms=(), sf=0, ml=0, redundancy=len(tvals))
-    ts = starts[0]
-    if len(starts) > 1:
-        ts = min(starts, key=lambda i: (-table[tvals[i : i + length]][0], i))
-    sf, first = table[tvals[ts : ts + length]]
+        while ml < n - i:
+            table = tables.get(ml + 1)
+            if table is None:
+                table = tables[ml + 1] = _windows(avals, ml + 1)
+            if tvals[i : i + ml + 1] not in table:
+                break
+            ml, ts = ml + 1, i  # no start before ts reaches ML
+    if not ml:
+        return MatchResult(ms=(), sf=0, ml=0, redundancy=n)
+    get, sf = tables[ml].get, 0
+    for i in range(ts, n - ml + 1):
+        hit = get(tvals[i : i + ml])
+        if hit and hit[0] > sf:
+            (sf, first), ts = hit, i
     # the MS is read from the antigen, so it keeps the antigen's -0.0 or int
-    return MatchResult(
-        ms=avals[first : first + length], sf=sf, ml=length,
-        redundancy=len(tvals) - length, tracker_start=ts,
-    )
+    return MatchResult(avals[first : first + ml], sf, ml, n - ml, ts)
 
 
 def _windows(avals: CategorySeq, length: int) -> dict[CategorySeq, tuple[int, int]]:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .encoding import banding, finite
+from .encoding import banding, finite, shown
 from .matching import MatchResult
 
 log = logging.getLogger(__name__)
@@ -86,7 +86,9 @@ class PoolConfig:
                 f"{self.init_size} * {self.init_len_max}"
             )
         if not (finite(self.band_width) and self.band_width > 0):
-            raise ConfigError(f"band_width must be positive and finite, got {self.band_width}")
+            raise ConfigError(
+                f"band_width must be positive and finite, got {shown(self.band_width)}"
+            )
         if self.gaussian_std is None:
             self.gaussian_std = 2.0 * self.band_width
             if math.isinf(self.gaussian_std):  # only band_width was set

@@ -154,6 +154,12 @@ class TestBand:
             band(1.0, 10**400)
         assert str(raised.value) == f"band width must be positive and finite, got {10**400}"
 
+    def test_int_width_past_the_string_limit_is_named_by_bits(self):
+        # a decimal string of 5,001 digits is past the int-to-str limit
+        with pytest.raises(EncodingError) as raised:
+            band(1.0, 10**5000)
+        assert str(raised.value) == "band width must be positive and finite, got an int of 16610 bits"
+
     @pytest.mark.parametrize("width", [0.1, 0.3, 0.5, 1, 7])
     def test_equals_reference_formula_at_grid_edges(self, width):
         for k in range(-50, 51):

@@ -202,6 +202,26 @@ class TestExactBinding:
         tracker, antigen = tuple(tracker), tuple(antigen)
         assert_same_match(longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # three or four values, so many starts tie at the longest length
+        alphabet=st.sampled_from(
+            [(0.0, -0.0, 1), (-0.0, 1, 2.0, math.nan), (0.0, 1, 1.0, math.nan)]
+        ),
+        data=st.data(),
+    )
+    def test_equals_dp_on_long_inputs(self, alphabet, data):
+        def values(min_size, max_size):
+            # a size drawn first, so long lists come as often as short ones
+            size = data.draw(st.integers(min_size, max_size))
+            return tuple(data.draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
+
+        tracker, antigen = values(1, 30), values(0, 300)
+        got = longest_match(tracker, antigen)
+        assert_same_match(got, _longest_match_dp(tracker, antigen, 0.0))
+        held, tables = matching._held
+        assert held is antigen and max(tables) <= min(got.ml + 1, len(tracker))
+
     def test_equals_dp_on_banded_walk(self):
         # the benchmark's shape: random trackers and stretches of the
         # walk itself, some with one value changed, on 300 banded changes

@@ -96,6 +96,12 @@ class TestPoolConfig:
             PoolConfig(band_width=10**400)
         assert str(raised.value) == f"band_width must be positive and finite, got {10**400}"
 
+    def test_int_band_width_past_the_string_limit_is_named_by_bits(self):
+        # a decimal string of 5,001 digits is past the int-to-str limit
+        with pytest.raises(ConfigError) as raised:
+            PoolConfig(band_width=10**5000)
+        assert str(raised.value) == "band_width must be positive and finite, got an int of 16610 bits"
+
     def test_huge_band_width_is_named_when_std_is_defaulted(self):
         # the default gaussian_std, 2 band widths, overflows to inf
         with pytest.raises(ConfigError, match="^band_width 1e\\+308 is too large"):
