@@ -108,8 +108,8 @@ def banding(width: float):
     def band_at(delta: float) -> float:
         if delta == 0:
             return 0.0
-        q = abs(delta) / width
         try:
+            q = abs(delta) / width  # OverflowError for an int past the largest float
             steps = math.ceil(q)
             # round() absorbs float noise in the quotient so banding is
             # idempotent on its own outputs (e.g. widths like 0.1).  Rounding
@@ -120,7 +120,7 @@ def banding(width: float):
                 steps = max(1, math.ceil(round(q, 9)))
             return math.copysign(points[steps] if steps < 64 else _far_point(steps, width), delta)
         except (OverflowError, ValueError, IndexError):  # q is infinite or nan, or no grid point
-            raise EncodingError(f"price change {delta} has no band at width {width}") from None
+            raise EncodingError(f"price change {shown(delta)} has no band at width {width}") from None
 
     return band_at
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .encoding import banding, finite, shown
+from .encoding import EncodingError, banding, finite, shown
 from .matching import MatchResult
 
 log = logging.getLogger(__name__)
@@ -107,6 +107,16 @@ class PoolConfig:
             raise ConfigError("clone_lifespan must be >= 1")
         if not (finite(self.bind_threshold) and self.bind_threshold >= 0):
             raise ConfigError("bind_threshold must be non-negative and finite")
+        # every tracker value is a banded gauss draw, so a draw far out in
+        # the tails must band too, or a run fails midway on its first such draw
+        band_at, reach = banding(self.band_width), 6 * self.gaussian_std
+        try:
+            band_at(self.gaussian_mean + reach), band_at(self.gaussian_mean - reach)
+        except EncodingError:
+            raise ConfigError(
+                f"gaussian_mean {self.gaussian_mean:g} +/- 6 gaussian_std {self.gaussian_std:g} "
+                f"has no band at band_width {self.band_width:g}"
+            ) from None
 
 
 # Compared and hashed by identity; no field is assigned after __init__.

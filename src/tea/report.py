@@ -78,6 +78,7 @@ def population_series(runs: list[RunStats]) -> list[dict]:
         return []
     n_gens = len(runs[0].records)
     trends = trend_order(runs[0].records[0].matching) if runs[0].records else []
+    columns = [(f"match {format_seq(trend)}", trend) for trend in trends]
     rows = []
     for g in range(n_gens):
         recs = [run.records[g] for run in runs]
@@ -88,8 +89,8 @@ def population_series(runs: list[RunStats]) -> list[dict]:
             "pool_min": min(sizes),
             "pool_max": max(sizes),
         }
-        for trend in trends:
-            row[f"match {format_seq(trend)}"] = sum(r.matching[trend] for r in recs) / len(recs)
+        for column, trend in columns:
+            row[column] = sum(r.matching[trend] for r in recs) / len(recs)
         rows.append(row)
     return rows
 

@@ -6,34 +6,15 @@ from dataclasses import replace
 
 import pytest
 
+from reference import reference_search, reference_values
 from tea.baseline import random_search
-from tea.encoding import PricePoint, band, encode
+from tea.encoding import PricePoint, encode
 from tea.engine import ANTIGEN_A, preset_config
-from tea.matching import enumerate_trends, longest_match
+from tea.matching import enumerate_trends
 from tea.memory import MemoryPool
 from tea.population import PoolConfig, init_pool, random_values
 
 CONFIG = PoolConfig(band_width=0.5, gaussian_mean=1.2, gaussian_std=0.5, init_len_min=2)
-
-
-def reference_values(config, rng):
-    """One random naive tracker's values: randint for the length, then one banded gauss each."""
-    length = rng.randint(config.init_len_min, config.init_len_max)
-    return tuple(
-        band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
-        for _ in range(length)
-    )
-
-
-def reference_search(antigen, population_size, config, rng) -> MemoryPool:
-    """random_search as a plain loop that binds and admits every draw."""
-    memory = MemoryPool()
-    for _ in range(population_size):
-        values = reference_values(config, rng)
-        match = longest_match(values, antigen, config.bind_threshold)
-        if match.is_trend_match:
-            memory.consider(values, match, gen=0)
-    return memory
 
 
 def banded_walk(changes=300, seed=0):

@@ -171,6 +171,18 @@ class TestRun:
         assert last.startswith("error: generation 13: the pool would grow to ")
         assert "past the limit of 150,000" in last
 
+    def test_gaussian_with_no_band_is_one_error_line(self, tmp_path, capsys):
+        # a finite mean whose draws have no band at the preset's width 0.5 is
+        # named by its config keys before the run starts, not by a draw midway
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("gaussian_mean = 1e308\n")
+        assert main(["run", "--preset", "exp1", "--runs", "1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: gaussian_mean 1e+308 +/- 6 gaussian_std 0.45 has no band at band_width 0.5\n"
+        )
+        assert captured.out == ""
+
     def test_reruns_are_byte_identical(self, tmp_path, fast_config):
         dirs = [tmp_path / "first", tmp_path / "second"]
         for d in dirs:

@@ -4,25 +4,10 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from reference import reference_band
 from tea.encoding import Antigen, EncodingError, PricePoint, band, encode, price_changes
-
-
-def reference_band(delta, width):
-    """The banding formula the fast path in band replaces, errors included."""
-    if not (math.isfinite(width) and width > 0):
-        raise EncodingError(f"band width must be positive and finite, got {width}")
-    if delta == 0:
-        return 0.0
-    try:
-        steps = max(1, math.ceil(round(abs(delta) / width, 9)))
-    except (OverflowError, ValueError):  # the quotient is infinite or nan
-        raise EncodingError(f"price change {delta} has no band at width {width}") from None
-    point = round(steps * width, 9)
-    if point > sys.float_info.max:  # the grid point passes the largest float
-        raise EncodingError(f"price change {delta} has no band at width {width}")
-    return math.copysign(point, delta)
 
 
 @st.composite
@@ -112,20 +97,22 @@ class TestBand:
         assert out == expected and math.copysign(1, out) == math.copysign(1, expected)
 
     @given(
-        delta=st.floats() | st.integers(-10**6, 10**6),
+        delta=st.floats() | st.integers(-10**400, 10**400),
         width=st.floats() | st.integers(-2, 9) | st.sampled_from([0.1, 0.5, 1.0]),
     )
     @settings(max_examples=500)
+    @example(delta=10**5000, width=0.5)  # past the int-to-str digit limit
     def test_equals_reference_formula_and_errors(self, delta, width):
         # any float or int on both sides: the same value, or the same error
-        # and message.  A grid point past the largest float is an
-        # EncodingError at float and int widths alike, on both sides.
+        # and message.  A grid point past the largest float, and an int delta
+        # past it, is an EncodingError at float and int widths alike.  The
+        # reference raises a plain ValueError where band raises EncodingError.
         try:
             expected = reference_band(delta, width)
-        except EncodingError as exc:
-            with pytest.raises(type(exc)) as raised:
+        except ValueError as exc:
+            with pytest.raises(EncodingError) as raised:
                 band(delta, width)
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            assert type(raised.value) is EncodingError and str(raised.value) == str(exc)
             return
         out = band(delta, width)
         assert out == expected and math.copysign(1, out) == math.copysign(1, expected)

@@ -2,14 +2,14 @@
 
 import dataclasses
 import math
-import random
-from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from reference import reference_run
 from tea import engine
-from tea.encoding import Antigen, EncodingError, band
+from tea.encoding import Antigen, EncodingError
 from tea.engine import (
     ANTIGEN_A,
     ANTIGEN_A1,
@@ -17,32 +17,18 @@ from tea.engine import (
     POOL_ACTION_FEEDBACK,
     POOL_ACTION_RESET,
     ExperimentSpec,
-    GenRecord,
-    MemoryEvent,
+    PoolLimitError,
     PresentationPhase,
-    RunStats,
     SpecError,
     _matching_counts,
     preset_config,
     preset_spec,
     run_batch,
     run_experiment,
-    run_generation,
 )
-from tea.matching import count_occurrences, enumerate_trends, longest_match
+from tea.matching import count_occurrences, enumerate_trends
 from tea.memory import MemoryPool
-from tea.population import (
-    CLONE,
-    MEMORY_CLONE,
-    NAIVE,
-    PoolConfig,
-    Tracker,
-    apoptose,
-    clone_count,
-    cull_stale_clones,
-    init_pool,
-    proliferation_check,
-)
+from tea.population import PoolConfig, Tracker, init_pool
 
 # Small and fast: enough signal for structural checks without the
 # calibrated preset's population growth.
@@ -222,176 +208,11 @@ class TestRunExperiment:
         assert stats.total_created == created
 
 
-def run_binding_afresh(spec, config, seed):
-    """run_experiment with an empty bind memo in every generation.
-
-    Returns the stats and the run's random stream.
-    """
-    rng = random.Random(seed)
-    pool = init_pool(config, rng)
-    initial_snapshot = [dataclasses.replace(t) for t in pool]
-    memory = MemoryPool()
-    stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
-    contains = {}
-    for gen in range(1, spec.total_generations + 1):
-        phase = spec.phase_at(gen)
-        presented = None
-        if phase is not None:
-            if gen == phase.start_gen:
-                if phase.pool_action_at_start == POOL_ACTION_RESET:
-                    pool = [dataclasses.replace(t) for t in initial_snapshot]
-                elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
-                    pool = memory.feedback_clones(config, rng)
-                    stats.total_created += len(pool)
-            presented = phase.presented(gen)
-        pool = run_generation(pool, memory, presented, {}, config, rng, gen, stats)
-        stats.records.append(GenRecord(gen, len(pool), _matching_counts(pool, spec.truth, contains)))
-    return stats, rng
-
-
 # the second phase follows the first at once and opens on -0.5, a value no
 # trend of A1 holds, so a bind carried over from the first phase would be wrong
 BACK_TO_BACK = ExperimentSpec(
     phases=[PresentationPhase(1, ANTIGEN_A1), PresentationPhase(11, Antigen(ANTIGEN_A2.seq[3:]))]
 )
-
-
-class TestCarriedBinds:
-    @pytest.mark.parametrize("preset", ["exp1", "exp2", "exp3", "back-to-back"])
-    @pytest.mark.parametrize(
-        "config",
-        [
-            preset_config(),
-            # a loose threshold binds by the DP; one clone per event keeps the pool small
-            dataclasses.replace(preset_config(), bind_threshold=0.5, clone_factor=1),
-        ],
-        ids=["exact", "threshold-0.5"],
-    )
-    def test_equal_to_binding_every_generation_afresh(self, monkeypatch, preset, config):
-        rngs = []
-
-        def init_and_keep_rng(config, rng):
-            rngs.append(rng)
-            return init_pool(config, rng)
-
-        monkeypatch.setattr(engine, "init_pool", init_and_keep_rng)
-        spec = BACK_TO_BACK if preset == "back-to-back" else preset_spec(preset)
-        for seed in (0, 2):  # exp3 seed 2 empties its pool and re-seeds it
-            got = run_experiment(spec, config, seed)
-            expected, rng = run_binding_afresh(spec, config, seed)
-            assert got.records == expected.records
-            assert got.memory_events == expected.memory_events
-            assert got.final_memory.to_rows() == expected.final_memory.to_rows()
-            assert got.total_created == expected.total_created
-            assert rngs.pop().getstate() == rng.getstate()
-
-
-@dataclasses.dataclass
-class MutableTracker:
-    """A tracker whose record is updated in place: one object per pool position."""
-
-    values: tuple
-    origin: str = NAIVE
-    best_sf: int = 0
-    best_ml: int = 0
-    last_improvement_gen: int = 0
-
-
-def reference_mutate(parent, config, rng, gen, n, ms_span):
-    """n clones, each its own object, drawn as population.mutate draws them."""
-    values = parent.values
-    positions = range(len(values))
-    if ms_span is not None:
-        redundant = [i for i in positions if not ms_span[0] <= i < ms_span[1]]
-        positions = redundant or positions
-    can_shorten = config.shortening_enabled and len(values) > 1
-    clones = []
-    for _ in range(n):
-        if not can_shorten or rng.random() < config.mutation_extend_prob:
-            value = band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
-            child = MutableTracker(values + (value,), CLONE, parent.best_sf, parent.best_ml, gen)
-        else:
-            drop = positions[rng.randrange(len(positions))]
-            child = MutableTracker(values[:drop] + values[drop + 1 :], CLONE, 0, 0, gen)
-        clones.append(child)
-    return clones
-
-
-def reference_fresh_pool(config, rng):
-    return [MutableTracker(t.values) for t in init_pool(config, rng)]
-
-
-def reference_generation(pool, memory, presented, config, rng, gen, stats):
-    """One generation, binding and proliferating position by position."""
-    if presented is not None:
-        clones = []
-        matches = {}  # value tuple -> its bind in this generation
-        for tracker in pool:
-            match = matches.get(tracker.values)
-            if match is None:
-                match = longest_match(tracker.values, presented, config.bind_threshold)
-                matches[tracker.values] = match
-            if not proliferation_check(tracker, match):
-                continue
-            tracker.best_sf = max(tracker.best_sf, match.sf)
-            tracker.best_ml = max(tracker.best_ml, match.ml)
-            tracker.last_improvement_gen = gen
-            n_clones = clone_count(match, config)
-            clones += reference_mutate(tracker, config, rng, gen, n_clones, match.tracker_span)
-            action = memory.consider(tracker.values, match, gen)
-            if action != "rejected":
-                stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
-        stats.total_created += len(clones)
-        pool = pool + clones
-    pool = apoptose(pool, config, rng)
-    culled = cull_stale_clones(pool, config, gen)
-    if culled:
-        pool = list(culled)
-        while len(pool) < config.min_pool:
-            pool.append(dataclasses.replace(pool[rng.randrange(len(pool))]))
-    else:
-        pool = reference_fresh_pool(config, rng)
-    stats.total_created += len(pool) - len(culled)
-    return pool
-
-
-def reference_run(spec, config, seed):
-    """run_experiment as a per-position loop over mutable trackers.
-
-    Every clone, homeostasis copy, reset copy and feedback clone is a
-    separate object.  Returns the stats and the run's random stream.
-    """
-    rng = random.Random(seed)
-    pool = reference_fresh_pool(config, rng)
-    initial_snapshot = [dataclasses.replace(t) for t in pool]
-    memory = MemoryPool()
-    stats = RunStats(seed=seed, final_memory=memory, total_created=len(pool))
-    contains = {}  # value tuple -> the trends of spec.truth it contains
-    for gen in range(1, spec.total_generations + 1):
-        phase = spec.phase_at(gen)
-        presented = None
-        if phase is not None:
-            if gen == phase.start_gen:
-                if phase.pool_action_at_start == POOL_ACTION_RESET:
-                    pool = [dataclasses.replace(t) for t in initial_snapshot]
-                elif phase.pool_action_at_start == POOL_ACTION_FEEDBACK:
-                    if len(memory):
-                        cells = [c.tracker_values for c in memory]
-                        cells += [cells[rng.randrange(len(cells))] for _ in range(config.min_pool - len(cells))]
-                        pool = [MutableTracker(values, MEMORY_CLONE) for values in cells]
-                    else:
-                        pool = reference_fresh_pool(config, rng)
-                    stats.total_created += len(pool)
-            presented = phase.presented(gen)
-        pool = reference_generation(pool, memory, presented, config, rng, gen, stats)
-        matching = dict.fromkeys(spec.truth, 0)
-        for values, n in Counter(t.values for t in pool).items():
-            if values not in contains:
-                contains[values] = [t for t in spec.truth if count_occurrences(t, values)]
-            for trend in contains[values]:
-                matching[trend] += n
-        stats.records.append(GenRecord(gen, len(pool), matching))
-    return stats, rng
 
 
 class TestAgainstPerPositionLoop:
@@ -412,7 +233,7 @@ class TestAgainstPerPositionLoop:
         spec = BACK_TO_BACK if preset == "back-to-back" else preset_spec(preset)
         for seed in (0, 2, 40):  # exp3 seed 2 re-seeds; seed 40 peaks at 10,843 trackers
             got = run_experiment(spec, config, seed)
-            expected, rng = reference_run(spec, config, seed)
+            expected, rng = reference_run(spec, config, seed, engine.MAX_POOL)
             assert got.records == expected.records
             assert got.memory_events == expected.memory_events
             assert got.final_memory.to_rows() == expected.final_memory.to_rows()
@@ -542,6 +363,44 @@ def small_specs(draw):
 
 def run_outputs(stats):
     return stats.records, stats.memory_events, stats.final_memory.to_rows(), stats.total_created
+
+
+class TestAgainstReferenceRun:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_specs(),
+        st.sampled_from([0.0, 0.5]),
+        st.booleans(),
+        st.integers(1, 3),
+        st.integers(0, 1000),
+    )
+    @example(preset_spec("exp3"), 0.0, True, 3, 0)  # passes 3,000 trackers at generation 15
+    def test_equals_the_reference_run(self, spec, threshold, shortening, clone_factor, seed):
+        # a pool bounded at 3,000 keeps every example small; a run that would
+        # pass it must stop where the reference stops, with the same message
+        config = dataclasses.replace(
+            FAST, init_size=8, min_pool=6, clone_lifespan=3, clone_factor=clone_factor,
+            bind_threshold=threshold, shortening_enabled=shortening,
+        )
+        rngs = []
+
+        def init_and_keep_rng(config, rng):
+            rngs.append(rng)
+            return init_pool(config, rng)
+
+        with mock.patch.object(engine, "MAX_POOL", 3000), mock.patch.object(
+            engine, "init_pool", init_and_keep_rng
+        ):
+            try:
+                got = run_experiment(spec, config, seed)
+            except PoolLimitError as exc:
+                with pytest.raises(PoolLimitError) as raised:
+                    reference_run(spec, config, seed, 3000)
+                assert str(raised.value) == str(exc)
+                return
+        expected, rng = reference_run(spec, config, seed, 3000)
+        assert run_outputs(got) == run_outputs(expected)
+        assert rngs.pop().getstate() == rng.getstate()
 
 
 class TestRunBatch:

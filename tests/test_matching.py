@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+# tests/test_acceptance.py imports brute_force_match from here
+from reference import brute_force_match, brute_force_trends
 from tea import matching
 from tea.encoding import Antigen, band
 from tea.engine import ANTIGEN_A, ANTIGEN_A1, ANTIGEN_A2
@@ -27,48 +29,6 @@ T5 = (2.0, -0.5)
 T6 = (2.0, 1.0, 2.0)
 T7 = (2.0, 1.0, 2.0, -0.5)
 T8 = (-0.5, 1.0)
-
-
-def brute_force_match(tracker, antigen, threshold=0.0):
-    """Independent reference: try every window pair, longest first.
-
-    Returns (ms, sf, ml, redundancy) under the same tie rules: highest
-    occurrence count, then leftmost tracker start, then leftmost
-    antigen start, with the MS read from the antigen side.
-    """
-    tracker, antigen = tuple(tracker), tuple(antigen)
-    for length in range(min(len(tracker), len(antigen)), 0, -1):
-        hits = []
-        for ts in range(len(tracker) - length + 1):
-            for As in range(len(antigen) - length + 1):
-                if all(
-                    abs(tracker[ts + k] - antigen[As + k]) <= threshold
-                    for k in range(length)
-                ):
-                    hits.append((ts, As))
-        if hits:
-            def rank(hit):
-                ts, As = hit
-                ms = antigen[As : As + length]
-                return (-count_occurrences(ms, antigen), ts, As)
-
-            ts, As = min(hits, key=rank)
-            ms = antigen[As : As + length]
-            return ms, count_occurrences(ms, antigen), length, len(tracker) - length
-    return (), 0, 0, len(tracker)
-
-
-def brute_force_trends(seq):
-    """Independent reference: re-count every window of length >= 2."""
-    seq = tuple(seq)
-    n = len(seq)
-    trends = set()
-    for length in range(2, n):
-        for start in range(n - length + 1):
-            window = seq[start : start + length]
-            if window not in trends and count_occurrences(window, seq) >= 2:
-                trends.add(window)
-    return frozenset(trends)
 
 
 class TestCountOccurrences:

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tea.encoding import band
+from reference import reference_apoptose, reference_cull, reference_mutate
 from tea.matching import MatchResult, longest_match
 from tea.population import (
     CLONE,
@@ -110,6 +110,20 @@ class TestPoolConfig:
             PoolConfig(band_width=1.0, gaussian_std=math.inf)
         assert PoolConfig(band_width=1e308, gaussian_std=1.0).gaussian_std == 1.0
 
+    def test_gaussian_whose_draws_have_no_band_is_named(self):
+        # each setting is finite, but a draw six stds out passes the largest
+        # float once banded; checked last, so every earlier message holds
+        with pytest.raises(ConfigError) as raised:
+            PoolConfig(band_width=0.5, gaussian_mean=1e308)
+        assert str(raised.value) == (
+            "gaussian_mean 1e+308 +/- 6 gaussian_std 1 has no band at band_width 0.5"
+        )
+        with pytest.raises(ConfigError, match="^gaussian_mean 0 \\+/- 6 gaussian_std 1e\\+308 "):
+            PoolConfig(band_width=0.5, gaussian_std=1e308)
+        with pytest.raises(ConfigError, match="^gaussian_std must be"):
+            PoolConfig(gaussian_mean=1e308, gaussian_std=math.inf)
+        assert PoolConfig(band_width=1.0, gaussian_mean=1e308).gaussian_mean == 1e308
+
 
 class TestInitPool:
     def test_sizes_and_lengths(self):
@@ -160,43 +174,6 @@ class TestProliferation:
         config = PoolConfig(clone_factor=3)
         assert clone_count(self.match(sf=2, ml=4), config) == 12
         assert clone_count(self.match(sf=2, ml=2), PoolConfig()) == 2
-
-
-def reference_mutate(parent, config, rng, current_gen, ms_span):
-    """The one-clone-per-call mutate that mutate(..., n) replaces."""
-    extend = True
-    if config.shortening_enabled and len(parent.values) > 1:
-        extend = rng.random() < config.mutation_extend_prob
-    if extend:
-        value = band(rng.gauss(config.gaussian_mean, config.gaussian_std), config.band_width)
-        values = parent.values + (value,)
-        best_sf, best_ml = parent.best_sf, parent.best_ml
-    else:
-        positions = range(len(parent.values))
-        lo, hi = ms_span
-        redundant = [i for i in positions if not lo <= i < hi]
-        if redundant:
-            positions = redundant
-        drop = positions[rng.randrange(len(positions))]
-        values = parent.values[:drop] + parent.values[drop + 1 :]
-        best_sf = best_ml = 0
-    return Tracker(values, CLONE, best_sf, best_ml, current_gen)
-
-
-def reference_apoptose(pool, config, rng):
-    doomed = math.floor(config.apoptosis_rate * len(pool))
-    if doomed == 0:
-        return list(pool)
-    dead = set(rng.sample(range(len(pool)), doomed))
-    return [t for i, t in enumerate(pool) if i not in dead]
-
-
-def reference_cull(pool, config, current_gen):
-    return [
-        t
-        for t in pool
-        if t.origin != CLONE or current_gen - t.last_improvement_gen < config.clone_lifespan
-    ]
 
 
 def state(t):
