@@ -59,6 +59,18 @@ class TestBand:
         with pytest.raises(EncodingError, match="has no band"):
             band(delta, width)
 
+    @pytest.mark.parametrize(
+        "delta,shown_as",
+        [(10**400, "1" + "0" * 400), (-10**400, "-1" + "0" * 400), (10**5000, "an int of 16610 bits")],
+        ids=["10**400", "-10**400", "10**5000"],
+    )
+    def test_int_past_the_largest_float_has_no_band(self, delta, shown_as):
+        # the quotient overflows inside band's error handling, not before it,
+        # and an int too long for a decimal string is named by its bit count
+        with pytest.raises(EncodingError) as raised:
+            band(delta, 0.5)
+        assert str(raised.value) == f"price change {shown_as} has no band at width 0.5"
+
     def test_tolerates_float_noise_in_quotient(self):
         # 0.3 / 0.1 is 2.9999... in floats; the quotient must not round up
         assert band(0.3, 0.1) == 0.3

@@ -42,6 +42,16 @@ def tea_imports(tree):
             yield from (a.name for a in node.names)
 
 
+def references_defined(source):
+    """Top-level reference_* and brute_force_* functions of a module's source."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith(("reference_", "brute_force_"))
+    ]
+
+
 def test_reference_imports_only_data_types_and_constants_from_tea():
     tree = ast.parse((TESTS / "reference.py").read_text())
     assert sorted(set(tea_imports(tree)) - ALLOWED) == []
@@ -49,11 +59,35 @@ def test_reference_imports_only_data_types_and_constants_from_tea():
 
 def test_no_other_test_module_defines_a_reference():
     defined = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{name}"
         for path in sorted(TESTS.glob("*.py"))
         if path.name != "reference.py"
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith(("reference_", "brute_force_"))
+        for name in references_defined(path.read_text())
     ]
     assert defined == []
+
+
+def test_guard_sees_every_form_of_tea_import():
+    source = (
+        "import math\n"
+        "import tea.engine\n"
+        "from tea import Tracker\n"
+        "from tea.matching import MatchResult, longest_match\n"
+        "def f():\n"
+        "    from tea.population import init_pool as fresh\n"
+        "from teapot import band\n"
+    )
+    imported = set(tea_imports(ast.parse(source)))
+    assert imported == {"tea.engine", "Tracker", "MatchResult", "longest_match", "init_pool"}
+    assert sorted(imported - ALLOWED) == ["init_pool", "longest_match", "tea.engine"]
+
+
+def test_guard_sees_only_top_level_references():
+    source = (
+        "def reference_band(delta, width): ...\n"
+        "async def brute_force_match(tracker, seq): ...\n"
+        "def banded_reference(delta): ...\n"
+        "class TestBand:\n"
+        "    def reference_helper(self): ...\n"
+    )
+    assert references_defined(source) == ["reference_band", "brute_force_match"]

@@ -3,6 +3,7 @@
 import pytest
 
 from tea.matching import MatchResult
+from tea import report
 from tea.memory import MemoryPool
 from tea.report import (
     detection_table,
@@ -10,10 +11,11 @@ from tea.report import (
     format_seq,
     format_value,
     inefficiency,
+    population_series,
     render_detection_table,
     trend_order,
 )
-from tea.engine import RunStats
+from tea.engine import GenRecord, RunStats
 
 
 def pool_with(*entries):
@@ -113,3 +115,33 @@ class TestFormatting:
     def test_trend_order_shortest_first(self):
         trends = [(1.0, 2.0, 1.0), (2.0, 1.0), (1.0, 2.0)]
         assert trend_order(trends) == [(1.0, 2.0), (2.0, 1.0), (1.0, 2.0, 1.0)]
+
+
+class TestPopulationSeries:
+    def test_means_over_runs_with_one_label_per_trend(self, monkeypatch):
+        # each trend's column label is built once per call, not once per generation
+        labels = []
+        label = report.format_seq
+
+        def counted(seq):
+            labels.append(seq)
+            return label(seq)
+
+        monkeypatch.setattr(report, "format_seq", counted)
+        a, ab = (1.0,), (1.0, 2.0)
+        runs = [
+            RunStats(seed=s, records=[GenRecord(g, size + g, {ab: g, a: s}) for g in range(3)])
+            for s, size in ((0, 10), (1, 20))
+        ]
+        rows = population_series(runs)
+        assert labels == [a, ab]
+        assert rows == [
+            {
+                "generation": g, "pool_mean": 15.0 + g, "pool_min": 10 + g, "pool_max": 20 + g,
+                "match [1]": 0.5, "match [1,2]": float(g),
+            }
+            for g in range(3)
+        ]
+        assert [list(row) for row in rows] == [
+            ["generation", "pool_mean", "pool_min", "pool_max", "match [1]", "match [1,2]"]
+        ] * 3
