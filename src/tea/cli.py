@@ -76,12 +76,15 @@ def _finite(text) -> float:
 def read_prices(path) -> list[PricePoint]:
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel's BOM is not a column
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"timestamp", "close"} - set(reader.fieldnames):
-            raise ValueError(f"{path}: price CSV needs a 'timestamp,close' header")
+        # a short row's missing field is None, and csv.Error is a field
+        # longer than csv.field_size_limit()
         try:
-            return [PricePoint(_finite(r["timestamp"]), _finite(r["close"])) for r in reader]
-        except (TypeError, ValueError) as exc:  # a short row's missing field is None
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            if reader.fieldnames is not None and {"timestamp", "close"} <= set(reader.fieldnames):
+                return [PricePoint(_finite(r["timestamp"]), _finite(r["close"])) for r in reader]
+        except (csv.Error, TypeError, ValueError) as exc:
+            # the csv reader's own count: the DictReader's lags a line that fails to parse
+            raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
+    raise ValueError(f"{path}: price CSV needs a 'timestamp,close' header")
 
 
 def _write_csv(path: Path, rows: list[dict]):

@@ -7,16 +7,18 @@ match sequence MS; its occurrence count in the antigen is the
 stimulation factor SF and its length the match length ML.  Tracker
 values outside the MS are redundancy.
 
-Exact binding reads tables of the antigen's windows, one per window
-length, each mapping a window to its count and first start.  One pass
-over the tracker's starts finds ML: a start counts only if its window
-one longer than the best so far is in the table, and then grows while
-its next window is too, so no table past ML + 1 is built.  One scan at
-length ML keeps the first start with the highest SF.  Only the antigen
-object bound last keeps its tables, so binding many trackers to one
-antigen builds each table once and never hashes the antigen; any other
-object, an equal tuple or a list included, starts afresh.  A loose
-threshold (bind_threshold > 0) binds by an n x m alignment DP.
+Binding is bit-parallel (Allison & Dix 1986; Hyyro 2004), the same at
+every threshold.  For the antigen object bound last, each tracker value
+keeps one mask: an int whose bit j is set when the value binds antigen
+position j.  Each tracker start grows its run one value at a time by
+bits = (bits << 1) & mask[next value] while any bit is left, so bit j
+then marks an antigen window ending at j.  The starts that reach the
+longest length ML tie.  Under exact binding every window a run binds
+equals the run, so a tie's SF is its bit count and its lowest bit the
+first occurrence; under a loose threshold the windows may differ, and
+one count of the antigen's windows of length ML ranks each.  Any other
+antigen object or threshold, an equal tuple or a list included, starts
+a fresh set of masks.
 
 The oracle lists every trend of an antigen: each contiguous window of
 length >= 2 that occurs at least twice (overlapping occurrences count).
@@ -28,7 +30,6 @@ no repeat.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import NamedTuple
 
@@ -75,9 +76,10 @@ def count_occurrences(pattern: CategorySeq, antigen) -> int:
     return sum(1 for i in range(len(seq) - m + 1) if seq[i : i + m] == pattern)
 
 
-# The antigen bound last and its window tables by length.  Holding the
-# antigen itself keeps `is` from matching a new object at a reused id.
-_held: tuple[CategorySeq | None, dict[int, dict]] = (None, {})
+# The antigen bound last, its threshold and its masks by tracker value.
+# Holding the antigen itself keeps `is` from matching a new object at a
+# reused id.
+_held: tuple[CategorySeq | None, float, dict] = (None, 0.0, {})
 
 
 def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
@@ -92,83 +94,66 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     avals = _values(antigen)
     if not tvals:
         raise MatchingError("tracker must be non-empty")
-    if bind_threshold:
-        return _longest_match_dp(tvals, avals, bind_threshold)
-
     global _held
-    held, tables = _held
-    if avals is not held:
-        tables = {}
-        _held = (avals, tables)
-    n, ml = len(tvals), 0
-    for i in range(n):
-        if n - i <= ml:
+    held, threshold, masks = _held
+    if avals is not held or threshold != bind_threshold:
+        masks = {}
+        _held = (avals, bind_threshold, masks)
+    row = []
+    for v in tvals:
+        mask = masks.get(v)
+        if mask is None:
+            mask = masks[v] = _mask(v, avals, bind_threshold)
+        row.append(mask)
+
+    # bit j of bits: the run from start s binds the antigen window ending at j
+    n, ml, ties = len(tvals), 0, []
+    for s in range(n):
+        if n - s < ml:
             break
-        while ml < n - i:
-            table = tables.get(ml + 1)
-            if table is None:
-                table = tables[ml + 1] = _windows(avals, ml + 1)
-            if tvals[i : i + ml + 1] not in table:
+        bits, end = row[s], s + 1
+        if not bits:
+            continue
+        while end < n:
+            grown = (bits << 1) & row[end]
+            if not grown:
                 break
-            ml, ts = ml + 1, i  # no start before ts reaches ML
+            bits, end = grown, end + 1
+        if end - s > ml:
+            ml, ties = end - s, [(s, bits)]
+        elif end - s == ml:
+            ties.append((s, bits))
     if not ml:
         return MatchResult(ms=(), sf=0, ml=0, redundancy=n)
-    get, sf = tables[ml].get, 0
-    for i in range(ts, n - ml + 1):
-        hit = get(tvals[i : i + ml])
-        if hit and hit[0] > sf:
-            (sf, first), ts = hit, i
+
+    if bind_threshold:  # the windows a loose run binds may differ, so each is counted
+        counts = Counter(avals[j : j + ml] for j in range(len(avals) - ml + 1))
+    sf = 0
+    for s, bits in ties:
+        while bits:
+            low = bits & -bits
+            j = low.bit_length() - ml  # the leftmost antigen start left
+            hit = counts[avals[j : j + ml]] if bind_threshold else bits.bit_count()
+            if hit > sf:
+                sf, ts, first = hit, s, j
+            # an exact run binds only windows equal to its own, all with one count
+            bits = bits ^ low if bind_threshold else 0
     # the MS is read from the antigen, so it keeps the antigen's -0.0 or int
     return MatchResult(avals[first : first + ml], sf, ml, n - ml, ts)
 
 
-def _windows(avals: CategorySeq, length: int) -> dict[CategorySeq, tuple[int, int]]:
-    """The antigen's windows of one length, each mapped to (count, first start).
-
-    Windows holding a non-finite value are left out: abs(t - a) <= 0
-    never holds for nan or an infinity, but tuple equality can.
-    """
-    starts = range(len(avals) - length + 1)
-    if not all(map(math.isfinite, avals)):
-        starts = [j for j in starts if all(map(math.isfinite, avals[j : j + length]))]
-    windows = [avals[j : j + length] for j in starts]
-    first = dict(zip(reversed(windows), reversed(starts)))  # the leftmost start wins
-    return {w: (n, first[w]) for w, n in Counter(windows).items()}
-
-
-def _longest_match_dp(tvals: CategorySeq, avals: CategorySeq, bind_threshold: float) -> MatchResult:
-    """longest_match by an n x m alignment DP, for any bind threshold."""
-    # run[j] = length of the aligned run ending at (i, j)
-    n, m = len(tvals), len(avals)
-    best_len = 0
-    candidates = []  # (tracker_start, antigen_start) of every run of best_len
-    prev = [0] * m
-    for i in range(n):
-        cur = [0] * m
-        ti = tvals[i]
-        for j in range(m):
-            if abs(ti - avals[j]) <= bind_threshold:
-                cur[j] = (prev[j - 1] if j else 0) + 1
-                if cur[j] > best_len:
-                    best_len = cur[j]
-                    candidates = [(i - best_len + 1, j - best_len + 1)]
-                elif cur[j] == best_len:
-                    candidates.append((i - best_len + 1, j - best_len + 1))
-        prev = cur
-
-    if best_len == 0:
-        return MatchResult(ms=(), sf=0, ml=0, redundancy=len(tvals))
-
-    # one table of the antigen's windows of length best_len ranks every
-    # tied candidate and gives the winner's SF
-    counts = Counter(avals[j : j + best_len] for j in range(m - best_len + 1))
-    ts, as_ = min(candidates, key=lambda c: (-counts[avals[c[1] : c[1] + best_len]], *c))
-    # the antigen-side window is the MS; identical to the tracker side
-    # under exact binding, the observed pattern under a loose threshold
-    ms = avals[as_ : as_ + best_len]
-    return MatchResult(
-        ms=ms, sf=counts[ms], ml=best_len, redundancy=len(tvals) - best_len, tracker_start=ts
-    )
+def _mask(v, avals: CategorySeq, bind_threshold: float) -> int:
+    """The antigen positions that tracker value v binds, as the bits of an int."""
+    mask = 0
+    if bind_threshold:
+        for j, a in enumerate(avals):
+            if abs(v - a) <= bind_threshold:
+                mask |= 1 << j
+    elif v - v == 0:  # v is finite, so no nan or infinity equals it
+        for j, a in enumerate(avals):
+            if a == v:
+                mask |= 1 << j
+    return mask
 
 
 def enumerate_trends(antigen) -> frozenset[CategorySeq]:

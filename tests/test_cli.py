@@ -1,6 +1,7 @@
 """Command line interface, including byte-identical reruns."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -437,6 +438,18 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_past_the_csv_size_limit_is_an_error_line(self, tmp_path, capsys, line):
+        # a 200,000-digit close (or column name) passes csv.field_size_limit()
+        rows = ["timestamp,close", "0,10", "1,11", "2,12"]
+        rows[line - 1] = rows[line - 1].split(",")[0] + "," + "1" * 200_000
+        path = tmp_path / "prices.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["detect", "--input", str(path), "--runs", "1"]) == 2
+        err = capsys.readouterr().err
+        limit = csv.field_size_limit()
+        assert err == f"error: {path} line {line}: field larger than field limit ({limit})\n"
 
 
 class TestTopLevel:

@@ -7,18 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 # tests/test_acceptance.py imports brute_force_match from here
-from reference import brute_force_match, brute_force_trends
+from reference import brute_force_bind, brute_force_match, brute_force_trends
 from tea import matching
 from tea.encoding import Antigen, band
 from tea.engine import ANTIGEN_A, ANTIGEN_A1, ANTIGEN_A2
-from tea.matching import (
-    MatchingError,
-    _longest_match_dp,
-    _windows,
-    count_occurrences,
-    enumerate_trends,
-    longest_match,
-)
+from tea.matching import MatchingError, count_occurrences, enumerate_trends, longest_match
 from tea.population import PoolConfig, random_values
 
 T1 = (1.0, 2.0)
@@ -151,16 +144,16 @@ def assert_same_match(got, ref):
 
 
 class TestExactBinding:
-    """Exact binding from window tables against the alignment DP."""
+    """Exact binding against the brute-force reference."""
 
     @settings(max_examples=500)
     @given(
         tracker=st.lists(st.sampled_from(EXACT_ALPHABET), min_size=1, max_size=8),
         antigen=st.lists(st.sampled_from(EXACT_ALPHABET), max_size=40),
     )
-    def test_equals_dp(self, tracker, antigen):
+    def test_equals_reference(self, tracker, antigen):
         tracker, antigen = tuple(tracker), tuple(antigen)
-        assert_same_match(longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0))
+        assert_same_match(longest_match(tracker, antigen), brute_force_bind(tracker, antigen))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -170,19 +163,21 @@ class TestExactBinding:
         ),
         data=st.data(),
     )
-    def test_equals_dp_on_long_inputs(self, alphabet, data):
+    def test_equals_reference_on_long_inputs(self, alphabet, data):
         def values(min_size, max_size):
             # a size drawn first, so long lists come as often as short ones
             size = data.draw(st.integers(min_size, max_size))
             return tuple(data.draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
 
         tracker, antigen = values(1, 30), values(0, 300)
-        got = longest_match(tracker, antigen)
-        assert_same_match(got, _longest_match_dp(tracker, antigen, 0.0))
-        held, tables = matching._held
-        assert held is antigen and max(tables) <= min(got.ml + 1, len(tracker))
+        assert_same_match(longest_match(tracker, antigen), brute_force_bind(tracker, antigen))
+        # one mask per tracker value, for this antigen object and threshold
+        held, threshold, masks = matching._held
+        assert held is antigen and threshold == 0 and masks.keys() >= set(tracker)
+        for v in tracker:
+            assert masks[v] == sum(1 << j for j, a in enumerate(antigen) if abs(v - a) <= 0)
 
-    def test_equals_dp_on_banded_walk(self):
+    def test_equals_reference_on_banded_walk(self):
         # the benchmark's shape: random trackers and stretches of the
         # walk itself, some with one value changed, on 300 banded changes
         rng = random.Random(0)
@@ -198,9 +193,7 @@ class TestExactBinding:
             stretch[rng.randrange(len(stretch))] += rng.choice([0.0, 0.5])
             trackers.append(tuple(stretch))
         for tracker in trackers:
-            assert_same_match(
-                longest_match(tracker, antigen), _longest_match_dp(tracker, antigen, 0.0)
-            )
+            assert_same_match(longest_match(tracker, antigen), brute_force_bind(tracker, antigen))
 
     def test_list_tuple_and_antigen_agree(self):
         results = {
@@ -208,12 +201,11 @@ class TestExactBinding:
             for tracker in (list(T7), T7, Antigen(T7))
             for antigen in (list(ANTIGEN_A.seq), ANTIGEN_A.seq, ANTIGEN_A)
         }
-        assert results == {repr(_longest_match_dp(T7, ANTIGEN_A.seq, 0.0))}
+        assert results == {repr(brute_force_bind(T7, ANTIGEN_A.seq))}
 
-    def test_antigens_differing_in_one_value_keep_their_own_tables(self):
+    def test_antigens_differing_in_one_value_keep_their_own_masks(self):
         a = (0.0, 2.0, 0.0, 2.0, 3.0)
         b = (0.0, 2.0, 0.0, 2.5, 3.0)
-        assert _windows(a, 2) != _windows(b, 2)
         # equal to a but another object, whose MS must show its -0.0
         negative = tuple([-0.0, 2.0, -0.0, 2.0, 3.0])
         assert negative == a and negative is not a
@@ -227,32 +219,33 @@ class TestExactBinding:
                     (0.0, 2.0, 0.0, 2.0), (2.5, 3.0), (0.0, 2.0, 0.0, 2.5), (0.0, 2.0), (2.0, 3.0)
                 ):
                     assert_same_match(
-                        longest_match(tracker, antigen),
-                        _longest_match_dp(tracker, tuple(antigen), 0.0),
+                        longest_match(tracker, antigen), brute_force_bind(tracker, antigen)
                     )
 
-    def test_equal_antigens_share_tables_but_not_their_ms(self):
+    def test_equal_antigens_keep_their_own_ms(self):
         # (0.0, 1.0) == (-0.0, 1.0); the MS still comes from the antigen
-        # being bound, not from one whose tables were built before
+        # being bound, not from one whose masks were built before
         assert longest_match((0.0, 1.0), (0.0, 1.0)).ms[0] == 0.0
         assert math.copysign(1.0, longest_match((0.0, 1.0), (-0.0, 1.0)).ms[0]) == -1.0
         assert math.copysign(1.0, longest_match((0.0, 1.0), (0.0, 1.0)).ms[0]) == 1.0
         assert type(longest_match((1.0, 2.0), (1, 2.0)).ms[0]) is int
 
-    def test_table_cache_is_bounded(self):
-        # only the antigen object bound last keeps its tables
+    def test_mask_cache_is_bounded(self):
+        # only the antigen object bound last keeps its masks, one per tracker value
         for k in range(10):
-            antigen = (float(k), 1.0, 2.0)
+            antigen = (k + 3.0, 1.0, 2.0)
             longest_match((1.0, 2.0), antigen)
             longest_match((1.0, 2.0, 1.0), antigen)
-            held, tables = matching._held
-            assert held is antigen and sorted(tables) == [1, 2, 3]
+            held, threshold, masks = matching._held
+            assert held is antigen and threshold == 0 and masks == {1.0: 0b010, 2.0: 0b100}
         copy = tuple(list(antigen))
         longest_match((1.0,), copy)
-        held, tables = matching._held
-        assert held is copy and sorted(tables) == [1]
+        held, _, masks = matching._held
+        assert held is copy and masks == {1.0: 0b010}
         longest_match((1.0,), list(copy))  # a list binds as a new tuple
         assert matching._held[0] is not copy
+        longest_match((1.0,), copy, 0.5)  # another threshold makes fresh masks
+        assert matching._held[1:] == (0.5, {1.0: 0b010})
 
     @settings(max_examples=500)
     @given(
@@ -268,6 +261,32 @@ class TestExactBinding:
         assert repr(longest_match(tracker, prefix + (new,), threshold)) == repr(
             longest_match(tracker, prefix, threshold)
         )
+
+
+class TestBindingAtEveryThreshold:
+    """The whole MatchResult, by repr, against the brute-force reference at each threshold."""
+
+    @settings(max_examples=500)
+    @given(
+        tracker=st.lists(st.sampled_from(EXACT_ALPHABET), min_size=1, max_size=8),
+        antigen=st.lists(st.sampled_from(EXACT_ALPHABET), max_size=40).map(tuple),
+        thresholds=st.lists(st.sampled_from([0, 0.25, 0.5, 1, 2]), min_size=1, max_size=2),
+    )
+    def test_equals_reference(self, tracker, antigen, thresholds):
+        # one antigen object, bound at up to two thresholds in turn
+        for threshold in thresholds:
+            assert_same_match(
+                longest_match(tracker, antigen, threshold),
+                brute_force_bind(tracker, antigen, threshold),
+            )
+
+    def test_one_antigen_at_two_thresholds(self):
+        # 1.5 binds only itself exactly, and 1.0, 1.5 and 2.0 within 0.5
+        antigen = (1.0, 2.0, 1.5, 2.5, 1.0, 2.0)
+        for threshold in (0.0, 0.5, 0.0, 0.5):
+            got = longest_match((1.5, 2.5), antigen, threshold)
+            assert_same_match(got, brute_force_bind((1.5, 2.5), antigen, threshold))
+            assert (got.ms, got.sf) == (((1.5, 2.5), 1) if threshold == 0 else ((1.0, 2.0), 2))
 
 
 class TestEnumerateTrends:
