@@ -84,7 +84,8 @@ def band(delta: float, width: float) -> float:
     negative deltas down to the previous one, so the magnitude never
     shrinks: a $0.40 rise bands to $1, a -$0.30 move with width $0.5
     bands to -$0.5.  A non-finite change, or one whose band would pass
-    the largest float, raises EncodingError.
+    the largest float, raises EncodingError, and so does a width off the
+    9-decimal-place grid that bands are rounded to.
     """
     return banding(width)(delta)
 
@@ -104,6 +105,10 @@ def banding(width: float):
         raise EncodingError(f"band width must be positive and finite, got {shown(width)}")
     # a grid point past the largest float is left out, so indexing it fails
     points = [p for p in (round(k * width, 9) for k in range(64)) if p <= sys.float_info.max]
+    # points are rounded to 9 places, so a width off that grid (1e-10,
+    # 1.5e-9) would band onto points that are not its multiples
+    if not all(math.isclose(p, k * width, rel_tol=1e-6) for k, p in enumerate(points)):
+        raise EncodingError(f"band width {width} is off the grid of 9 decimal places bands round to")
 
     def band_at(delta: float) -> float:
         if delta == 0:

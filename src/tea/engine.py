@@ -59,6 +59,7 @@ from .population import (
     apoptose,
     clone_count,
     cull_stale_clones,
+    gauss_bands,
     homeostasis,
     init_pool,
     intern,
@@ -230,6 +231,7 @@ def run_generation(
         carried = tables.get(len(presented) - 1, {})
         new, threshold = presented[-1], config.bind_threshold
         born = {}  # this generation's birth table (see population.intern)
+        draw = gauss_bands(config, rng).__next__  # the clones' fresh values
         improved = {}  # tracker -> itself improved
         for tracker in dict.fromkeys(pool):
             values = tracker.values
@@ -256,7 +258,7 @@ def run_generation(
                     f"generation {gen}: the pool would grow to {size:,} trackers, "
                     f"past the limit of {MAX_POOL:,}"
                 )
-            clones += mutate(parent, config, rng, gen, n_clones, match.tracker_span, born)
+            clones += mutate(parent, config, rng, gen, n_clones, match.tracker_span, born, draw)
             if parent not in considered:
                 considered.add(parent)
                 action = memory.consider(parent.values, match, gen)

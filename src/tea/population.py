@@ -12,10 +12,15 @@ in place of its argument.  Pool positions with the same state can
 therefore share one object.  Homeostatic copies are the donor itself,
 and mutate hands out one object per child state in a generation.
 
-Every fresh value is a Gaussian draw banded with the band function of
-the config's width (encoding.banding).  random_values streams the value
-tuples of random naive trackers in draw order; init_pool and the
-random-search baseline take theirs from it.
+Every fresh value comes from gauss_bands, an endless stream of Gaussian
+draws banded with the band function of the config's width
+(encoding.banding).  The stream runs random.Random.gauss's own
+Box-Muller code inline, keeping the spare value in rng.gauss_next as
+gauss does, so each value equals band_at(rng.gauss(mean, std)) and
+leaves the rng in the same state; only the call overhead is saved.
+random_values streams the value tuples of random naive trackers in
+draw order; init_pool, re-seeds and the random-search baseline take
+theirs from it.  mutate takes the next value of a generation's stream.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 
 from .encoding import EncodingError, banding, finite, shown
 from .matching import MatchResult
@@ -107,9 +113,13 @@ class PoolConfig:
             raise ConfigError("clone_lifespan must be >= 1")
         if not (finite(self.bind_threshold) and self.bind_threshold >= 0):
             raise ConfigError("bind_threshold must be non-negative and finite")
+        try:
+            band_at = banding(self.band_width)
+        except EncodingError as exc:  # a width off the grid its bands are rounded to
+            raise ConfigError(f"bad band_width: {exc}") from None
         # every tracker value is a banded gauss draw, so a draw far out in
         # the tails must band too, or a run fails midway on its first such draw
-        band_at, reach = banding(self.band_width), 6 * self.gaussian_std
+        reach = 6 * self.gaussian_std
         try:
             band_at(self.gaussian_mean + reach), band_at(self.gaussian_mean - reach)
         except EncodingError:
@@ -130,13 +140,32 @@ class Tracker:
     last_improvement_gen: int = 0  # read only for CLONE trackers
 
 
+def gauss_bands(config: PoolConfig, rng: random.Random):
+    """Endless banded gauss draws: each value is band_at(rng.gauss(mean, std)).
+
+    The body of random.Random.gauss (the same on Python 3.10 to 3.13) runs
+    inline.  Each draw reads and writes rng.gauss_next, as gauss does, so
+    the stream keeps in step with any other call on rng and getstate().
+    """
+    band_at, mean, std = banding(config.band_width), config.gaussian_mean, config.gaussian_std
+    random, log, sqrt, cos, sin, tau = rng.random, math.log, math.sqrt, math.cos, math.sin, math.tau
+    while True:
+        z = rng.gauss_next
+        rng.gauss_next = None
+        if z is None:
+            x2pi = random() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - random()))
+            z = cos(x2pi) * g2rad
+            rng.gauss_next = sin(x2pi) * g2rad
+        yield band_at(mean + z * std)
+
+
 def random_values(config: PoolConfig, rng: random.Random, n: int):
-    """The values of n random naive trackers: each a randint length of banded gauss draws."""
-    randint, gauss, band_at = rng.randint, rng.gauss, banding(config.band_width)
+    """The values of n random naive trackers: each a randint length of gauss_bands draws."""
+    randint, draws = rng.randint, gauss_bands(config, rng)
     lo, hi = config.init_len_min, config.init_len_max
-    mean, std = config.gaussian_mean, config.gaussian_std
     for _ in range(n):
-        yield tuple([band_at(gauss(mean, std)) for _ in range(randint(lo, hi))])
+        yield tuple(islice(draws, randint(lo, hi)))
 
 
 def init_pool(config: PoolConfig, rng: random.Random) -> list[Tracker]:
@@ -184,6 +213,7 @@ def mutate(
     n: int,
     ms_span: tuple[int, int],
     born: dict,
+    draw: Callable[[], float],
 ) -> list[Tracker]:
     """The n mutated clones of one proliferation event, in draw order.
 
@@ -201,17 +231,17 @@ def mutate(
     zeroed record, which is what lets a leaner tracker re-submit the
     same match sequence to long-term memory.
 
-    Every clone draws as if made alone (rng.random(), then gauss or
-    randrange).  Clones in the same state are one object: within the
-    call, and across the calls of one generation, which share the born
-    table (see intern).  Such calls reuse the children a parent
-    already had, so within a table a parent must keep its ms_span, as it
-    does in a generation, where the span follows from its values.
+    Every clone draws as if made alone: rng.random(), then draw() (the
+    next value of a gauss_bands stream on rng) or randrange.  Clones in
+    the same state are one object: within the call, and across the calls
+    of one generation, which share the born table (see intern).  Such
+    calls reuse the children a parent already had, so within a table a
+    parent must keep its ms_span, as it does in a generation, where the
+    span follows from its values.
     """
     values = parent.values
     can_shorten = config.shortening_enabled and len(values) > 1
-    extend_prob, band_at = config.mutation_extend_prob, banding(config.band_width)
-    mean, std = config.gaussian_mean, config.gaussian_std
+    extend_prob = config.mutation_extend_prob
     best_sf, best_ml = parent.best_sf, parent.best_ml
     children = born.get(parent)
     if children is None:
@@ -223,7 +253,7 @@ def mutate(
     clones = []
     for _ in range(n):
         if not can_shorten or rng.random() < extend_prob:
-            value = band_at(rng.gauss(mean, std))
+            value = draw()
             child = extended.get(value)
             if child is None:
                 child = Tracker(values + (value,), CLONE, best_sf, best_ml, current_gen)

@@ -32,6 +32,10 @@ def reference_band(delta, width):
     """
     if not (math.isfinite(width) and width > 0):
         raise ValueError(f"band width must be positive and finite, got {width}")
+    for k in range(1, 64):  # a grid point rounded to 9 places must stay a multiple
+        point = round(k * width, 9)
+        if point <= sys.float_info.max and abs(point - k * width) > 1e-6 * k * width:
+            raise ValueError(f"band width {width} is off the grid of 9 decimal places bands round to")
     if delta == 0:
         return 0.0
     try:

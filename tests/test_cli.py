@@ -451,6 +451,18 @@ class TestDetect:
         limit = csv.field_size_limit()
         assert err == f"error: {path} line {line}: field larger than field limit ({limit})\n"
 
+    def test_band_width_off_the_nine_place_grid_is_one_error_line(self, tmp_path, capsys):
+        # closes that only rise; banded at 1e-10 on a 9-place grid they read
+        # as the flat antigen [0,0,0,0,0]
+        path = tmp_path / "rise.csv"
+        path.write_text("timestamp,close\n" + "".join(f"{t},10.000000000{t}\n" for t in range(6)))
+        assert main(["detect", "--input", str(path), "--band-width", "1e-10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: band width 1e-10 is off the grid of 9 decimal places bands round to\n"
+        )
+        assert captured.out == ""
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):

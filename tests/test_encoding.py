@@ -159,6 +159,22 @@ class TestBand:
             band(1.0, 10**5000)
         assert str(raised.value) == "band width must be positive and finite, got an int of 16610 bits"
 
+    @pytest.mark.parametrize("width", [1e-10, 4e-10, 1.5e-9])
+    def test_width_off_the_nine_place_grid_is_named(self, width):
+        # its grid points, rounded to 9 places, are not its multiples: 1e-10
+        # banded 1.5e-10 to 0.0, and 4e-10 banded 6e-10 to 1e-09
+        for delta in (0.0, 1.5 * width, 1.0):
+            with pytest.raises(EncodingError) as raised:
+                band(delta, width)
+            assert str(raised.value) == (
+                f"band width {width} is off the grid of 9 decimal places bands round to"
+            )
+
+    @pytest.mark.parametrize("width", [1e-9, 3e-9, 1e-6, 0.1, 0.25, 0.5, 1, 2])
+    def test_width_on_the_nine_place_grid_bands_onto_its_multiples(self, width):
+        for k in range(1, 100):
+            assert band((k - 0.5) * width, width) == round(k * width, 9)
+
     @pytest.mark.parametrize("width", [0.1, 0.3, 0.5, 1, 7])
     def test_equals_reference_formula_at_grid_edges(self, width):
         for k in range(-50, 51):

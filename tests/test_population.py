@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import reference_apoptose, reference_cull, reference_mutate
+from tea.encoding import band
 from tea.matching import MatchResult, longest_match
 from tea.population import (
     CLONE,
@@ -20,6 +21,7 @@ from tea.population import (
     apoptose,
     clone_count,
     cull_stale_clones,
+    gauss_bands,
     homeostasis,
     init_pool,
     mutate,
@@ -37,6 +39,11 @@ def make_tracker(values, origin=NAIVE, best_sf=0, best_ml=0, gen=0):
         best_ml=best_ml,
         last_improvement_gen=gen,
     )
+
+
+def stream(config, rng):
+    """mutate's draw argument: the next value of a new gauss_bands stream on rng."""
+    return gauss_bands(config, rng).__next__
 
 
 class TestPoolConfig:
@@ -109,6 +116,13 @@ class TestPoolConfig:
         with pytest.raises(ConfigError, match="^gaussian_std must be"):
             PoolConfig(band_width=1.0, gaussian_std=math.inf)
         assert PoolConfig(band_width=1e308, gaussian_std=1.0).gaussian_std == 1.0
+
+    def test_band_width_off_the_nine_place_grid_is_named(self):
+        with pytest.raises(ConfigError) as raised:
+            PoolConfig(band_width=1e-10)
+        assert str(raised.value) == (
+            "bad band_width: band width 1e-10 is off the grid of 9 decimal places bands round to"
+        )
 
     def test_gaussian_whose_draws_have_no_band_is_named(self):
         # each setting is finite, but a draw six stds out passes the largest
@@ -186,7 +200,8 @@ class TestMutate:
     def test_extension_appends_banded_value_and_inherits_record(self):
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=1.0)
-        children = mutate(parent, config, random.Random(0), 3, 4, (0, 0), {})
+        rng = random.Random(0)
+        children = mutate(parent, config, rng, 3, 4, (0, 0), {}, stream(config, rng))
         assert len(children) == 4
         for child in children:
             assert child.values[:2] == parent.values
@@ -198,7 +213,8 @@ class TestMutate:
     def test_shortening_resets_record(self):
         parent = make_tracker((1.0, 2.0, -0.5), best_sf=2, best_ml=2)
         config = PoolConfig(band_width=0.5, mutation_extend_prob=0.0)
-        children = mutate(parent, config, random.Random(0), 3, 3, (0, 0), {})
+        rng = random.Random(0)
+        children = mutate(parent, config, rng, 3, 3, (0, 0), {}, stream(config, rng))
         assert len(children) == 3
         for child in children:
             assert len(child.values) == 2
@@ -208,31 +224,34 @@ class TestMutate:
         parent = make_tracker((9.0, 1.0, 2.0, 9.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
         for seed in range(20):
-            for child in mutate(parent, config, random.Random(seed), 1, 3, (1, 3), {}):
+            rng = random.Random(seed)
+            for child in mutate(parent, config, rng, 1, 3, (1, 3), {}, stream(config, rng)):
                 # the matched window [1,2] always survives
                 assert child.values in {(1.0, 2.0, 9.0), (9.0, 1.0, 2.0)}
 
     def test_shortening_uniform_when_no_redundancy(self):
         parent = make_tracker((1.0, 2.0), best_sf=2, best_ml=2)
         config = PoolConfig(mutation_extend_prob=0.0)
-        seen = {
-            child.values
-            for s in range(30)
-            for child in mutate(parent, config, random.Random(s), 1, 2, (0, 2), {})
-        }
+        seen = set()
+        for seed in range(30):
+            rng = random.Random(seed)
+            children = mutate(parent, config, rng, 1, 2, (0, 2), {}, stream(config, rng))
+            seen.update(child.values for child in children)
         assert seen == {(1.0,), (2.0,)}
 
     def test_length_one_parent_always_extends(self):
         parent = make_tracker((1.0,))
         config = PoolConfig(mutation_extend_prob=0.0)
-        children = mutate(parent, config, random.Random(0), 1, 3, (0, 0), {})
+        rng = random.Random(0)
+        children = mutate(parent, config, rng, 1, 3, (0, 0), {}, stream(config, rng))
         assert [len(child.values) for child in children] == [2, 2, 2]
 
     def test_shortening_disabled_always_extends(self):
         parent = make_tracker((1.0, 2.0, 3.0))
         config = PoolConfig(mutation_extend_prob=0.0, shortening_enabled=False)
         for seed in range(10):
-            for child in mutate(parent, config, random.Random(seed), 1, 3, (0, 0), {}):
+            rng = random.Random(seed)
+            for child in mutate(parent, config, rng, 1, 3, (0, 0), {}, stream(config, rng)):
                 assert len(child.values) == 4
 
     @given(
@@ -245,7 +264,8 @@ class TestMutate:
     def test_never_empty_and_length_changes_by_one(self, length, seed, extend_prob, n):
         parent = make_tracker(tuple(float(i) for i in range(length)))
         config = PoolConfig(mutation_extend_prob=extend_prob)
-        children = mutate(parent, config, random.Random(seed), 1, n, (0, 0), {})
+        rng = random.Random(seed)
+        children = mutate(parent, config, rng, 1, n, (0, 0), {}, stream(config, rng))
         assert len(children) == n
         for child in children:
             assert len(child.values) >= 1
@@ -273,7 +293,7 @@ class TestMutate:
             shortening_enabled=shortening,
         )
         rng, twin = random.Random(seed), random.Random(seed)
-        children = mutate(parent, config, rng, 4, n, span, {})
+        children = mutate(parent, config, rng, 4, n, span, {}, stream(config, rng))
         expected = [reference_mutate(parent, config, twin, 4, span) for _ in range(n)]
         assert [state(c) for c in children] == [state(e) for e in expected]
         assert rng.getstate() == twin.getstate()
@@ -302,11 +322,11 @@ class TestMutate:
         ]
         config = PoolConfig(band_width=0.5, gaussian_mean=1.0, mutation_extend_prob=0.5)
         rng, twin = random.Random(seed), random.Random(seed)
-        born = {}
+        born, draw = {}, stream(config, rng)  # one stream for the table's calls, as in a generation
         shared, alone = [], []
         for parent, span in (parents[i] for i in picks):
-            shared += mutate(parent, config, rng, 4, n, span, born)
-            alone += mutate(parent, config, twin, 4, n, span, {})
+            shared += mutate(parent, config, rng, 4, n, span, born, draw)
+            alone += mutate(parent, config, twin, 4, n, span, {}, stream(config, twin))
         assert [state(c) for c in shared] == [state(c) for c in alone]
         assert rng.getstate() == twin.getstate()
         assert len({id(c) for c in shared}) == len({state(c) for c in shared})
@@ -405,3 +425,63 @@ class TestRandomTracker:
         assert draws <= {0.5, 1.0, 1.5}
         for v in draws:
             assert longest_match((v,), (v,)).ms == (v,)
+
+
+# gaussian_std 0, an int mean and width, and widths 0.1, 0.5 and 1
+STREAM_CONFIGS = [
+    PoolConfig(band_width=0.5, gaussian_mean=1.3, gaussian_std=0.0),
+    PoolConfig(band_width=1, gaussian_mean=2, gaussian_std=1.5),
+    PoolConfig(band_width=0.1, gaussian_mean=0.3, gaussian_std=0.2),
+    PoolConfig(band_width=0.5, gaussian_mean=1.3, gaussian_std=0.45),
+    PoolConfig(band_width=1.0),
+]
+# one call each: the stream, a second stream on the same rng, or the rng itself
+STREAM_STEPS = st.one_of(
+    st.sampled_from([("first",), ("second",), ("random",), ("gauss", 0.0, 1.0)]),
+    st.tuples(st.just("randrange"), st.integers(1, 100)),
+    st.tuples(st.just("randint"), st.integers(-5, 5), st.integers(0, 5)).map(
+        lambda s: (s[0], s[1], s[1] + s[2])
+    ),
+    st.tuples(st.just("sample"), st.integers(0, 30), st.integers(0, 30)).map(
+        lambda s: (s[0], max(s[1:]), min(s[1:]))
+    ),
+)
+
+
+def take(step, rng, first, second):
+    kind, *args = step
+    if kind == "first":
+        return first()
+    if kind == "second":
+        return second()
+    if kind == "sample":
+        return rng.sample(range(args[0]), args[1])
+    return getattr(rng, kind)(*args)
+
+
+class TestGaussBands:
+    @given(
+        seed=st.integers(0, 2**32),
+        pending=st.booleans(),
+        configs=st.tuples(st.sampled_from(STREAM_CONFIGS), st.sampled_from(STREAM_CONFIGS)),
+        steps=st.lists(STREAM_STEPS, max_size=40),
+    )
+    @settings(max_examples=300)
+    def test_equals_banded_rng_gauss_amid_other_calls(self, seed, pending, configs, steps):
+        # each value is band(rng.gauss(mean, std), width) and leaves the rng
+        # in the same state, whatever else draws from it in between
+        rng, twin = random.Random(seed), random.Random(seed)
+        if pending:  # gauss_next holds the second value of a pair
+            assert rng.gauss(0.0, 1.0) == twin.gauss(0.0, 1.0)
+        first, second = (gauss_bands(config, rng).__next__ for config in configs)
+
+        def banded(config):
+            mean, std, width = config.gaussian_mean, config.gaussian_std, config.band_width
+            return lambda: band(twin.gauss(mean, std), width)
+
+        for step in steps:
+            got = take(step, rng, first, second)
+            expected = take(step, twin, banded(configs[0]), banded(configs[1]))
+            assert repr(got) == repr(expected), step
+            assert rng.getstate() == twin.getstate(), step
+
