@@ -32,11 +32,11 @@ def random_search(
     """One-shot random population bound against the full antigen."""
     if population_size < 0:
         raise ValueError(f"population size must be >= 0, got {population_size}")
-    memory = MemoryPool()
+    seq, memory = antigen.seq, MemoryPool()
     # the antigen is fixed, so a repeated value tuple repeats its match, and
     # memory could only reject it again: bind each tuple once, in draw order
     for values in dict.fromkeys(random_values(config, rng, population_size)):
-        match = longest_match(values, antigen, config.bind_threshold)
+        match = longest_match(values, seq, config.bind_threshold)
         if match.is_trend_match:
             memory.consider(values, match, gen=0)
     return RandomSearchResult(population_size, memory.detected_trends(), memory)

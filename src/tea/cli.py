@@ -20,8 +20,6 @@ import math
 import os
 import random
 import sys
-from collections import Counter
-from itertools import groupby
 from pathlib import Path
 
 from .baseline import random_search
@@ -29,13 +27,14 @@ from .config_io import config_lines, load_config
 from .encoding import Antigen, PricePoint, encode
 from .engine import (
     FIXTURES,
+    PRESETS,
     ExperimentSpec,
     PresentationPhase,
     preset_config,
     preset_spec,
     run_batch,
 )
-from .matching import enumerate_trends
+from .matching import enumerate_trends, trend_counts
 from .population import PoolConfig
 from .report import (
     detection_table,
@@ -129,11 +128,9 @@ def _config_from_args(args, base: PoolConfig) -> PoolConfig:
 
 
 def cmd_oracle(args):
-    seq = parse_antigen(args.antigen).seq
-    for length, trends in groupby(trend_order(enumerate_trends(seq)), len):
-        counts = Counter(seq[i : i + length] for i in range(len(seq) - length + 1))
-        for trend in trends:
-            print(f"{format_seq(trend)}  x{counts[trend]}")
+    counts = trend_counts(parse_antigen(args.antigen))
+    for trend in trend_order(counts):
+        print(f"{format_seq(trend)}  x{counts[trend]}")
 
 
 def cmd_run(args):
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("run", parents=[batch], help="run a built-in experiment preset")
-    p.add_argument("--preset", required=True, choices=["exp1", "exp2", "exp3"])
+    p.add_argument("--preset", required=True, choices=PRESETS)
     p.add_argument("--runs", type=int, default=10)
     p.set_defaults(func=cmd_run)
 

@@ -37,12 +37,15 @@ class Antigen:
 
     def __post_init__(self):
         object.__setattr__(self, "seq", tuple(self.seq))
-        bad = [v for v in self.seq if not math.isfinite(v)]
+        bad = [v for v in self.seq if not finite(v)]
         if bad:  # no tracker could ever bind a trend holding such a value
-            raise EncodingError(f"antigen {self.label!r} has a non-finite value {bad[0]}")
+            raise EncodingError(f"antigen {self.label!r} has a non-finite value {shown(bad[0])}")
 
     def __len__(self):
         return len(self.seq)
+
+    def __iter__(self):
+        return iter(self.seq)
 
 
 def finite(value: float) -> bool:
@@ -64,12 +67,17 @@ def shown(value) -> str:
 def price_changes(series: list[PricePoint]) -> list[float]:
     """Close-to-close deltas in chronological order.
 
-    Requires at least two points and strictly increasing timestamps.
+    Requires at least two points, each with a finite timestamp and close
+    (not an int past the largest float), and strictly increasing timestamps.
     """
     if len(series) < 2:
         raise EncodingError("need at least 2 price points, got %d" % len(series))
+    for i, p in enumerate(series):
+        if not (finite(p.timestamp) and finite(p.close)):
+            point = f"timestamp {shown(p.timestamp)}, close {shown(p.close)}"
+            raise EncodingError(f"price point {i} ({point}) is not finite")
     for prev, cur in zip(series, series[1:]):
-        if cur.timestamp <= prev.timestamp:
+        if not cur.timestamp > prev.timestamp:
             raise EncodingError(
                 "timestamps must be strictly increasing "
                 f"({prev.timestamp} followed by {cur.timestamp})"

@@ -8,12 +8,12 @@ antigen value.  Outside phases no binding happens, but the regulation
 phases (apoptosis, stale-clone culling, homeostasis) keep running, so the
 population decays back to its floor.
 
-Per generation the order is fixed: bind the trackers, proliferate and
-mutate the improvers, submit each to long-term memory once (cells only
-shrink, so a resubmission could only be rejected), then apoptose, cull
-stale clones, and top back up.  All randomness comes from a single
-per-run seeded stream consumed in that order, so a (spec, config, seed)
-triple is fully reproducible.
+Per generation the order is fixed: bind the trackers, submitting each
+improved state to long-term memory once, as it is made (cells only
+shrink, so a resubmission could only be rejected), then proliferate and
+mutate the improvers, apoptose, cull stale clones, and top back up.
+All randomness comes from a single per-run seeded stream consumed in
+that order, so a (spec, config, seed) triple is fully reproducible.
 
 Trackers are never changed once made, so pool positions with the same
 state share one object: homeostasis copies are their donors, and a
@@ -82,6 +82,17 @@ ANTIGEN_A = Antigen(
 ANTIGEN_A1 = Antigen(ANTIGEN_A.seq[:10], "A1")
 ANTIGEN_A2 = Antigen(ANTIGEN_A.seq[10:], "A2")
 FIXTURES = {"A": ANTIGEN_A, "A1": ANTIGEN_A1, "A2": ANTIGEN_A2}
+
+# The built-in schedules over the worked antigens, each run for 50
+# generations, as (start_gen, antigen, pool action at start) phases.
+PRESETS = {
+    # train on A1 (gens 1-10), reset to the initial random pool, test on A2 (gens 30-39)
+    "exp1": ((1, ANTIGEN_A1, POOL_ACTION_NONE), (30, ANTIGEN_A2, POOL_ACTION_RESET)),
+    # the same, but the pool at generation 30 is repopulated from long-term memory
+    "exp2": ((1, ANTIGEN_A1, POOL_ACTION_NONE), (30, ANTIGEN_A2, POOL_ACTION_FEEDBACK)),
+    # the full antigen A over gens 1-20
+    "exp3": ((1, ANTIGEN_A, POOL_ACTION_NONE),),
+}
 
 
 # Largest pool a generation may build.  Positions share tracker objects,
@@ -245,9 +256,14 @@ def run_generation(
                     match = match.is_trend_match and match
                 matches[values] = match
             if match and proliferation_check(tracker, match):
-                improved[tracker] = intern(record_improvement(tracker, match, gen), born)
+                fresh = record_improvement(tracker, match, gen)
+                parent = improved[tracker] = intern(fresh, born)
+                # memory sees each new state once: cells only shrink, so it would reject a repeat
+                if parent is fresh:
+                    action = memory.consider(values, match, gen)
+                    if action != "rejected":
+                        stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
         parents = list(map(improved.get, pool, pool))
-        considered = set()  # cells only shrink, so memory would reject a parent's repeats
         # one proliferation event per position whose tracker improved, in pool order
         for parent in compress(parents, map(is_not, parents, pool)):
             match = matches[parent.values]
@@ -259,11 +275,6 @@ def run_generation(
                     f"past the limit of {MAX_POOL:,}"
                 )
             clones += mutate(parent, config, rng, gen, n_clones, match.tracker_span, born, draw)
-            if parent not in considered:
-                considered.add(parent)
-                action = memory.consider(parent.values, match, gen)
-                if action != "rejected":
-                    stats.memory_events.append(MemoryEvent(gen, action, match.ms, match.redundancy))
         stats.total_created += len(clones)
         pool = parents + clones
     pool = apoptose(pool, config, rng)
@@ -350,27 +361,7 @@ def preset_config() -> PoolConfig:
 
 
 def preset_spec(name: str) -> ExperimentSpec:
-    """Built-in schedules exp1, exp2, exp3 over the Table-style antigens.
-
-    exp1: train on A1 (gens 1-10), reset to the initial random pool and
-    test on A2 (gens 30-39). exp2: same, but the pool at generation 30
-    is repopulated from long-term memory. exp3: the full antigen A over
-    gens 1-20. All run 50 generations.
-    """
-    if name == "exp1":
-        return ExperimentSpec(
-            phases=[
-                PresentationPhase(1, ANTIGEN_A1),
-                PresentationPhase(30, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_RESET),
-            ]
-        )
-    if name == "exp2":
-        return ExperimentSpec(
-            phases=[
-                PresentationPhase(1, ANTIGEN_A1),
-                PresentationPhase(30, ANTIGEN_A2, pool_action_at_start=POOL_ACTION_FEEDBACK),
-            ]
-        )
-    if name == "exp3":
-        return ExperimentSpec(phases=[PresentationPhase(1, ANTIGEN_A)])
-    raise SpecError(f"unknown preset {name!r} (expected exp1, exp2 or exp3)")
+    """The built-in schedule of that name in PRESETS."""
+    if name not in PRESETS:
+        raise SpecError(f"unknown preset {name!r} (expected one of {', '.join(PRESETS)})")
+    return ExperimentSpec([PresentationPhase(*phase) for phase in PRESETS[name]])

@@ -17,15 +17,17 @@ longest length ML tie.  Under exact binding every window a run binds
 equals the run, so a tie's SF is its bit count and its lowest bit the
 first occurrence; under a loose threshold the windows may differ, and
 one count of the antigen's windows of length ML ranks each.  Any other
-antigen object or threshold, an equal tuple or a list included, starts
-a fresh set of masks.
+antigen object or threshold, an equal tuple included, starts a fresh
+set of masks.  Each function reads tuple(x) of its sequence: a tuple as
+it is, anything else (an Antigen, a list) as a new copy per call.
 
 The oracle lists every trend of an antigen: each contiguous window of
-length >= 2 that occurs at least twice (overlapping occurrences count).
-It counts windows one length at a time.  A window can repeat only where
-its one-shorter prefix repeats, so each length looks only at the starts
-the previous length kept, and the count stops at the first length with
-no repeat.
+length >= 2 that occurs at least twice (overlapping occurrences count),
+with its count.  It counts windows one length at a time.  A window can
+repeat only where its one-shorter prefix repeats, so each length looks
+only at the starts the previous length kept, and the count stops at the
+first length with no repeat.  A repeated window's count is exact: each
+of its occurrences starts where its prefix repeats, at a kept start.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .encoding import Antigen, CategorySeq
+from .encoding import CategorySeq
 
 
 class MatchingError(ValueError):
@@ -59,10 +61,6 @@ class MatchResult(NamedTuple):
         return self.ml > 1 and self.sf > 1
 
 
-def _values(antigen) -> CategorySeq:
-    return antigen.seq if isinstance(antigen, Antigen) else tuple(antigen)
-
-
 def count_occurrences(pattern: CategorySeq, antigen) -> int:
     """Start positions in the antigen where the pattern matches exactly.
 
@@ -71,7 +69,7 @@ def count_occurrences(pattern: CategorySeq, antigen) -> int:
     pattern = tuple(pattern)
     if not pattern:
         raise MatchingError("pattern must be non-empty")
-    seq = _values(antigen)
+    seq = tuple(antigen)
     m = len(pattern)
     return sum(1 for i in range(len(seq) - m + 1) if seq[i : i + m] == pattern)
 
@@ -90,8 +88,8 @@ def longest_match(tracker, antigen, bind_threshold: float = 0.0) -> MatchResult:
     the tracker, then the leftmost start in the antigen.  With no
     common value at all the MS is empty and SF = ML = 0.
     """
-    tvals = _values(tracker)
-    avals = _values(antigen)
+    tvals = tuple(tracker)
+    avals = tuple(antigen)
     if not tvals:
         raise MatchingError("tracker must be non-empty")
     global _held
@@ -156,16 +154,21 @@ def _mask(v, avals: CategorySeq, bind_threshold: float) -> int:
     return mask
 
 
-def enumerate_trends(antigen) -> frozenset[CategorySeq]:
-    """Every contiguous window of length >= 2 occurring >= 2 times."""
-    seq = _values(antigen)
-    trends = set()
+def trend_counts(antigen) -> dict[CategorySeq, int]:
+    """Every contiguous window of length >= 2 occurring >= 2 times, with its count."""
+    seq = tuple(antigen)
+    trends = {}
     starts = range(len(seq))
     for length in range(2, len(seq)):
         counts = Counter(seq[i : i + length] for i in starts if i + length <= len(seq))
-        repeated = {window for window, count in counts.items() if count >= 2}
+        repeated = {window: count for window, count in counts.items() if count >= 2}
         if not repeated:
             break
-        trends |= repeated
+        trends.update(repeated)
         starts = [i for i in starts if seq[i : i + length] in repeated]
-    return frozenset(trends)
+    return trends
+
+
+def enumerate_trends(antigen) -> frozenset[CategorySeq]:
+    """Every contiguous window of length >= 2 occurring >= 2 times."""
+    return frozenset(trend_counts(antigen))

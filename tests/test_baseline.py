@@ -7,8 +7,9 @@ from dataclasses import replace
 import pytest
 
 from reference import reference_search, reference_values
+from tea import matching
 from tea.baseline import random_search
-from tea.encoding import PricePoint, encode
+from tea.encoding import Antigen, PricePoint, encode
 from tea.engine import ANTIGEN_A, preset_config
 from tea.matching import enumerate_trends
 from tea.memory import MemoryPool
@@ -112,6 +113,13 @@ class TestRandomSearch:
         monkeypatch.setattr(MemoryPool, "consider", counted)
         random_search(ANTIGEN_A, 3000, CONFIG, random.Random(0))
         assert submitted and len(submitted) == len(set(submitted))
+
+    def test_binds_one_antigen_tuple(self):
+        # an Antigen passed on to each bind would be copied by tuple() every
+        # time, and every bind would build its masks afresh
+        antigen = Antigen(list(ANTIGEN_A.seq))
+        random_search(antigen, 100, CONFIG, random.Random(0))
+        assert matching._held[0] is antigen.seq
 
     def test_streams_its_draws(self):
         # a list of the 50,000 draws alone would pass the bound

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,13 @@ class TestShowConfig:
 
 
 class TestRun:
+    def test_offers_the_engine_presets(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--preset", "exp9"])
+        # newer argparse versions print the choices without quotes
+        choices = re.search(r"\(choose from (.*)\)", capsys.readouterr().err).group(1)
+        assert choices.replace("'", "").split(", ") == list(tea.engine.PRESETS)
+
     def test_writes_machine_readable_output(self, tmp_path, fast_config, capsys):
         out_dir = tmp_path / "out"
         assert (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference import reference_band
-from tea.encoding import Antigen, EncodingError, PricePoint, band, encode, price_changes
+from tea.encoding import Antigen, EncodingError, PricePoint, band, encode, finite, price_changes
 
 
 @st.composite
@@ -19,6 +19,15 @@ def deltas_near_grid(draw, width):
         lambda m: m[0] if m[1] is None else math.nextafter(m[0], m[1])
     )
     return draw(any_float | near)
+
+
+# nan, infinities, the largest floats and their negatives, subnormals and
+# ints past the largest float: every value a price point can be given
+any_price = (
+    st.floats(allow_subnormal=True)
+    | st.sampled_from([1e308, -1e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+    | st.integers(-(10**400), 10**400)
+)
 
 
 class TestBand:
@@ -202,10 +211,23 @@ class TestPriceChanges:
         with pytest.raises(EncodingError):
             price_changes([PricePoint(0, 10.0)])
 
-    @pytest.mark.parametrize("second_ts", [0.0, -1.0])
+    @pytest.mark.parametrize("second_ts", [0.0, -1.0, math.nan])
     def test_rejects_non_increasing_timestamps(self, second_ts):
         with pytest.raises(EncodingError):
             price_changes([PricePoint(0, 10.0), PricePoint(second_ts, 11.0)])
+
+    @pytest.mark.parametrize(
+        "point,shown_as",
+        [
+            (PricePoint(math.inf, 11.0), "timestamp inf, close 11.0"),
+            (PricePoint(1, 10**400), f"timestamp 1, close {10**400}"),
+        ],
+        ids=["infinite-timestamp", "close-10**400"],
+    )
+    def test_rejects_a_point_that_is_not_finite(self, point, shown_as):
+        with pytest.raises(EncodingError) as raised:
+            price_changes([PricePoint(0, 10.0), point])
+        assert str(raised.value) == f"price point 1 ({shown_as}) is not finite"
 
 
 class TestEncode:
@@ -224,7 +246,33 @@ class TestEncode:
         series = [PricePoint(0, 5.0), PricePoint(1, 5.2), PricePoint(2, 4.6)]
         assert encode(series, width=0.5).seq == (0.5, -1.0)
 
+    @settings(max_examples=300)
+    @given(
+        points=st.lists(st.tuples(any_price, any_price), min_size=2, max_size=8),
+        width=st.sampled_from([0.1, 0.5, 1, 2]),
+    )
+    def test_returns_finite_values_or_raises_encoding_error(self, points, width):
+        try:
+            antigen = encode([PricePoint(t, c) for t, c in points], width)
+        except EncodingError:
+            return
+        assert len(antigen) == len(points) - 1
+        assert all(finite(v) for v in antigen)
+
 
 class TestAntigen:
     def test_seq_normalised_to_tuple(self):
         assert Antigen([1.0, 2.0]).seq == (1.0, 2.0)
+
+    def test_iterates_its_values(self):
+        assert tuple(Antigen([1.0, 2.0])) == (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "value,shown_as",
+        [(10**400, str(10**400)), (10**5000, "an int of 16610 bits")],
+        ids=["10**400", "10**5000"],
+    )
+    def test_rejects_an_int_past_the_largest_float(self, value, shown_as):
+        with pytest.raises(EncodingError) as raised:
+            Antigen((1.0, value), "x")
+        assert str(raised.value) == f"antigen 'x' has a non-finite value {shown_as}"

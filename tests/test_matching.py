@@ -11,7 +11,13 @@ from reference import brute_force_bind, brute_force_match, brute_force_trends
 from tea import matching
 from tea.encoding import Antigen, band
 from tea.engine import ANTIGEN_A, ANTIGEN_A1, ANTIGEN_A2
-from tea.matching import MatchingError, count_occurrences, enumerate_trends, longest_match
+from tea.matching import (
+    MatchingError,
+    count_occurrences,
+    enumerate_trends,
+    longest_match,
+    trend_counts,
+)
 from tea.population import PoolConfig, random_values
 
 T1 = (1.0, 2.0)
@@ -319,3 +325,10 @@ class TestEnumerateTrends:
     def test_equals_brute_force(self, seq):
         assert enumerate_trends(seq) == brute_force_trends(seq)
         assert enumerate_trends(Antigen(tuple(seq))) == brute_force_trends(seq)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from([-0.5, 0.0, -0.0, 1.0, 2.0]), max_size=16))
+    def test_counts_each_trend_in_the_whole_sequence(self, seq):
+        # a repeated window occurs only where its prefix repeats, at a kept start
+        expected = {trend: count_occurrences(trend, seq) for trend in brute_force_trends(seq)}
+        assert trend_counts(seq) == expected
